@@ -1,8 +1,8 @@
 //! Side-by-side demo of the multi-core scheduling modes on registry
 //! scenarios: the same dual-core workload under cycle-exact event-driven
-//! interleaving, relaxed round-robin quanta and host-parallel relaxed
-//! scheduling, with identical spike rasters asserted and host wall time
-//! printed for each.
+//! interleaving and relaxed round-robin quanta on both relaxed clocks,
+//! with identical spike rasters asserted and host wall time printed for
+//! each.
 //!
 //! ```text
 //! cargo run --release --example sched_modes
@@ -42,14 +42,6 @@ fn main() {
             ("exact", SchedMode::Exact),
             ("relaxed", SchedMode::relaxed()),
             ("relaxed-est", SchedMode::relaxed_estimated()),
-            (
-                "relaxed-par2",
-                SchedMode::RelaxedParallel {
-                    quantum: SchedMode::DEFAULT_QUANTUM,
-                    host_threads: 2,
-                    timing: izhi_sim::TimingModel::Unit,
-                },
-            ),
         ] {
             let mut wl = sc.build(&params);
             wl.cfg_mut().system.sched = sched;

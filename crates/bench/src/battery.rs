@@ -15,7 +15,7 @@
 //!   check), recorded per row;
 //! * the **bit-identity battery check** ([`check_rows`]): all rows of one
 //!   `(spec, scenario, seed)` cell must agree on the order-independent raster
-//!   hash across `Exact`/`Relaxed`/`RelaxedParallel` — the cross-mode
+//!   hash across `Exact`/`Relaxed` — the cross-mode
 //!   correctness contract the sequential test suites pin, enforced here
 //!   for every battery cell.
 
@@ -34,8 +34,7 @@ use crate::supervise::{self, panic_message, RunErrorKind, SuperviseConfig};
 /// A scheduling mode under a battery label.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedSpec {
-    /// Row label ("exact", "relaxed", "relaxed-par", "relaxed-est",
-    /// "relaxed-par-est").
+    /// Row label ("exact", "relaxed", "relaxed-est").
     pub label: &'static str,
     /// The mode a row's workload runs under.
     pub mode: SchedMode,
@@ -56,14 +55,6 @@ impl SchedSpec {
                 timing: TimingModel::Estimated,
                 ..
             } => "relaxed-est",
-            SchedMode::RelaxedParallel {
-                timing: TimingModel::Unit,
-                ..
-            } => "relaxed-par",
-            SchedMode::RelaxedParallel {
-                timing: TimingModel::Estimated,
-                ..
-            } => "relaxed-par-est",
         }
     }
 
@@ -76,31 +67,21 @@ impl SchedSpec {
     }
 
     /// The default battery mode set — every sched × timing combination:
-    /// exact (cycle-accurate clock), relaxed and host-parallel relaxed at
-    /// the default quantum under Unit timing, and the same two relaxed
-    /// schedulers under Estimated timing. `host_threads` is forced on the
-    /// parallel rows so they stay interpretable on single-CPU CI runners.
-    pub fn default_set(host_threads: u32) -> Vec<SchedSpec> {
-        let mut set = vec![SchedSpec::of(SchedMode::Exact)];
-        for timing in [TimingModel::Unit, TimingModel::Estimated] {
-            set.push(SchedSpec::of(SchedMode::Relaxed {
-                quantum: SchedMode::DEFAULT_QUANTUM,
-                timing,
-            }));
-            set.push(SchedSpec::of(SchedMode::RelaxedParallel {
-                quantum: SchedMode::DEFAULT_QUANTUM,
-                host_threads,
-                timing,
-            }));
-        }
-        set
+    /// exact (cycle-accurate clock), and relaxed at the default quantum
+    /// under Unit and under Estimated timing.
+    pub fn default_set() -> Vec<SchedSpec> {
+        vec![
+            SchedSpec::of(SchedMode::Exact),
+            SchedSpec::of(SchedMode::relaxed()),
+            SchedSpec::of(SchedMode::relaxed_estimated()),
+        ]
     }
 
     /// The subset of [`SchedSpec::default_set`] whose rows report the
     /// given clock ("exact", "unit" or "estimated") — the CLI's
     /// `--timing` battery filter.
-    pub fn timing_set(host_threads: u32, timing_label: &str) -> Vec<SchedSpec> {
-        Self::default_set(host_threads)
+    pub fn timing_set(timing_label: &str) -> Vec<SchedSpec> {
+        Self::default_set()
             .into_iter()
             .filter(|s| s.mode.timing_label() == timing_label)
             .collect()
@@ -133,12 +114,12 @@ pub struct BatterySpec {
 impl BatterySpec {
     /// A quick-scale spec over the scenario's default battery seeds and
     /// the default mode set.
-    pub fn quick(scenario: &'static scenario::Scenario, host_threads: u32) -> Self {
+    pub fn quick(scenario: &'static scenario::Scenario) -> Self {
         BatterySpec {
             scenario: scenario.name,
             params: ScenarioParams::default(),
             seeds: scenario.battery_seeds.to_vec(),
-            scheds: SchedSpec::default_set(host_threads),
+            scheds: SchedSpec::default_set(),
             quick: true,
             faults: FaultPlan::default(),
             supervise: SuperviseConfig::default(),
@@ -167,8 +148,6 @@ pub struct BatteryRow {
     pub timing: &'static str,
     /// Relaxed quantum (0 for exact rows).
     pub quantum: u64,
-    /// Forced host threads (1 for sequential schedulers).
-    pub host_threads: u32,
     /// Host wall time of the run.
     pub wall_s: f64,
     /// Simulated cycles (scheduling-mode clock).
@@ -312,16 +291,11 @@ struct Job<'a> {
 }
 
 impl Job<'_> {
-    /// `(quantum, host_threads)` the row reports for its mode.
-    fn mode_fields(&self) -> (u64, u32) {
+    /// The relaxed quantum the row reports for its mode (0 when exact).
+    fn quantum(&self) -> u64 {
         match self.sched.mode {
-            SchedMode::Exact => (0, 1),
-            SchedMode::Relaxed { quantum, .. } => (quantum, 1),
-            SchedMode::RelaxedParallel {
-                quantum,
-                host_threads,
-                ..
-            } => (quantum, host_threads),
+            SchedMode::Exact => 0,
+            SchedMode::Relaxed { quantum, .. } => quantum,
         }
     }
 }
@@ -335,15 +309,13 @@ fn failed_row(
     attempts: u32,
     wall_s: f64,
 ) -> BatteryRow {
-    let (quantum, host_threads) = job.mode_fields();
     BatteryRow {
         spec: job.spec_idx,
         scenario: job.spec.scenario.to_string(),
         seed: job.seed,
         sched: job.sched.label,
         timing: job.sched.mode.timing_label(),
-        quantum,
-        host_threads,
+        quantum: job.quantum(),
         wall_s,
         sim_cycles: 0,
         sim_instret: 0,
@@ -384,7 +356,6 @@ fn run_one(job: &Job<'_>) -> BatteryRow {
     };
     wl.cfg_mut().system.sched = job.sched.mode;
     wl.cfg_mut().system.faults = spec.faults.clone();
-    let (quantum, host_threads) = job.mode_fields();
     let start = Instant::now();
     let outcome = supervise::run_supervised(wl.as_mut(), &spec.supervise);
     let wall_s = start.elapsed().as_secs_f64();
@@ -395,8 +366,7 @@ fn run_one(job: &Job<'_>) -> BatteryRow {
             seed: job.seed,
             sched: job.sched.label,
             timing: job.sched.mode.timing_label(),
-            quantum,
-            host_threads,
+            quantum: job.quantum(),
             wall_s,
             sim_cycles: sup.result.cycles,
             sim_instret: sup.result.instret,
@@ -474,7 +444,7 @@ pub fn rows_json(rows: &[BatteryRow]) -> String {
         let _ = write!(
             out,
             "    {{\"key\": \"{}\", \"scenario\": \"{}\", \"seed\": {}, \"sched\": \"{}\", \
-             \"timing\": \"{}\", \"quantum\": {}, \"host_threads\": {}, \"wall_s\": {:.6}, \
+             \"timing\": \"{}\", \"quantum\": {}, \"wall_s\": {:.6}, \
              \"sim_cycles\": {}, \"sim_instret\": {}, \"spikes\": {}, \
              \"raster_hash\": \"{:#018x}\", \"verified\": {}",
             r.key(),
@@ -483,7 +453,6 @@ pub fn rows_json(rows: &[BatteryRow]) -> String {
             r.sched,
             r.timing,
             r.quantum,
-            r.host_threads,
             r.wall_s,
             r.sim_cycles,
             r.sim_instret,
@@ -509,11 +478,10 @@ pub fn rows_table(rows: &[BatteryRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<34} {:>15} {:>9} {:>3} {:>9} {:>13} {:>13} {:>8} {:>18} {:>18} {:>5}",
+        "{:<34} {:>15} {:>9} {:>9} {:>13} {:>13} {:>8} {:>18} {:>18} {:>5}",
         "battery row",
         "sched",
         "timing",
-        "ht",
         "wall [s]",
         "sim cycles",
         "sim instret",
@@ -525,11 +493,10 @@ pub fn rows_table(rows: &[BatteryRow]) -> String {
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<34} {:>15} {:>9} {:>3} {:>9.3} {:>13} {:>13} {:>8} {:#018x} {:>18} {:>5}",
+            "{:<34} {:>15} {:>9} {:>9.3} {:>13} {:>13} {:>8} {:#018x} {:>18} {:>5}",
             format!("{}[seed={}]", r.scenario, r.seed),
             r.sched,
             r.timing,
-            r.host_threads,
             r.wall_s,
             r.sim_cycles,
             r.sim_instret,
@@ -561,7 +528,6 @@ mod tests {
             sched,
             timing: "unit",
             quantum: 0,
-            host_threads: 1,
             wall_s: 0.1,
             sim_cycles: 10,
             sim_instret: 10,
@@ -638,29 +604,20 @@ mod tests {
 
     #[test]
     fn json_rows_carry_stable_keys_and_timing() {
-        let rows = vec![row("net8020", 5, "relaxed-par", 0x1234, true)];
+        let rows = vec![row("net8020", 5, "relaxed-est", 0x1234, true)];
         let json = rows_json(&rows);
-        assert!(json.contains("\"key\": \"net8020:5:relaxed-par\""));
+        assert!(json.contains("\"key\": \"net8020:5:relaxed-est\""));
         assert!(json.contains("\"timing\": \"unit\""));
         assert!(json.contains("\"verified\": true"));
     }
 
     #[test]
     fn default_set_covers_every_sched_timing_combination() {
-        let set = SchedSpec::default_set(2);
+        let set = SchedSpec::default_set();
         let labels: Vec<_> = set.iter().map(|s| s.label).collect();
         // Unit-timing labels keep their historical names so committed
         // baseline keys stay valid; estimated rows get the -est suffix.
-        assert_eq!(
-            labels,
-            [
-                "exact",
-                "relaxed",
-                "relaxed-par",
-                "relaxed-est",
-                "relaxed-par-est"
-            ]
-        );
+        assert_eq!(labels, ["exact", "relaxed", "relaxed-est"]);
         for spec in &set {
             assert_eq!(spec.label, SchedSpec::label_of(spec.mode));
         }
@@ -669,14 +626,11 @@ mod tests {
     #[test]
     fn timing_set_filters_by_clock() {
         let labels = |t: &str| -> Vec<&'static str> {
-            SchedSpec::timing_set(2, t)
-                .iter()
-                .map(|s| s.label)
-                .collect()
+            SchedSpec::timing_set(t).iter().map(|s| s.label).collect()
         };
         assert_eq!(labels("exact"), ["exact"]);
-        assert_eq!(labels("unit"), ["relaxed", "relaxed-par"]);
-        assert_eq!(labels("estimated"), ["relaxed-est", "relaxed-par-est"]);
+        assert_eq!(labels("unit"), ["relaxed"]);
+        assert_eq!(labels("estimated"), ["relaxed-est"]);
         assert!(labels("bogus").is_empty());
     }
 
@@ -686,7 +640,7 @@ mod tests {
             scenario: "no_such_scenario",
             params: ScenarioParams::default(),
             seeds: vec![1],
-            scheds: SchedSpec::default_set(2),
+            scheds: SchedSpec::default_set(),
             quick: true,
             faults: FaultPlan::default(),
             supervise: SuperviseConfig::default(),

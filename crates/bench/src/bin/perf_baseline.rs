@@ -37,9 +37,8 @@
 //!
 //! * **Scenario battery**: every scenario in the
 //!   `izhi_programs::scenario` registry at its quick parameters, fanned
-//!   over its battery seeds × every sched × timing combination ({exact,
-//!   relaxed, relaxed-par} under Unit timing plus {relaxed-est,
-//!   relaxed-par-est} under Estimated timing) via
+//!   over its battery seeds × every sched × timing combination (exact,
+//!   relaxed under Unit timing and relaxed-est under Estimated timing) via
 //!   [`izhi_bench::battery::BatteryRunner`]. Each row records the
 //!   order-independent raster hash, the clock it was measured on and its
 //!   self-verification outcome; cross-mode hash identity is asserted
@@ -73,7 +72,7 @@
 //!     [--check baseline.json] [--min-ratio 0.85] [--battery-only]
 //! ```
 //!
-//! Writes `BENCH_9.json` (or the given path). With `--check`, the
+//! Writes `BENCH_10.json` (or the given path). With `--check`, the
 //! single-core `speedup_vs_seed` entries of the fresh measurement are
 //! compared against the committed baseline file (exit non-zero if any
 //! entry fell below `min-ratio` × its baseline value), the headline
@@ -118,13 +117,8 @@ const SUDOKU_REPS: usize = 3;
 /// One measured workload.
 struct Row {
     name: String,
-    /// Scheduling mode annotation: "exact", "relaxed", "relaxed-par" or
-    /// "seed".
+    /// Scheduling mode annotation: "exact", "relaxed" or "seed".
     sched: &'static str,
-    /// Host threads driving the simulation (1 for every sequential
-    /// scheduler; the forced worker count for `relaxed-par` rows, so the
-    /// row stays interpretable on single-CPU CI runners).
-    host_threads: u32,
     wall_s: f64,
     sim_cycles: u64,
     sim_instret: u64,
@@ -171,17 +165,10 @@ fn packed_log(res: &WorkloadResult) -> Vec<u32> {
 }
 
 /// Build a measurement row from a timed live-interpreter run.
-fn row_from(
-    name: &str,
-    sched: &'static str,
-    host_threads: u32,
-    wall_s: f64,
-    res: &WorkloadResult,
-) -> Row {
+fn row_from(name: &str, sched: &'static str, wall_s: f64, res: &WorkloadResult) -> Row {
     Row {
         name: name.into(),
         sched,
-        host_threads,
         wall_s,
         sim_cycles: res.cycles,
         sim_instret: res.instret,
@@ -210,7 +197,6 @@ fn selftest_row() -> Row {
     Row {
         name: "selftest_battery".into(),
         sched: "exact",
-        host_threads: 1,
         wall_s,
         sim_cycles: exit.cycles,
         sim_instret: exit.instret,
@@ -280,7 +266,6 @@ fn seed_run(name: &str, asm: &str, cfg: &EngineConfig, image: &GuestImage) -> Ro
     Row {
         name: format!("{name}_seed"),
         sched: "seed",
-        host_threads: 1,
         wall_s,
         sim_cycles: exit.cycles,
         sim_instret: exit.instret,
@@ -293,7 +278,7 @@ fn seed_run(name: &str, asm: &str, cfg: &EngineConfig, image: &GuestImage) -> Ro
 /// scheduling mode.
 fn live_run(name: &str, sched: &'static str, wl: &dyn Workload) -> Row {
     let (wall_s, res) = time(|| wl.run().expect("live run"));
-    row_from(name, sched, 1, wall_s, &res)
+    row_from(name, sched, wall_s, &res)
 }
 
 /// Build a registered scenario (the only workload-construction path this
@@ -510,15 +495,8 @@ fn compare_rows_2core(name: &str, n: usize, ticks: u32) -> (Row, Row, Row) {
 /// Barrier-light 80-20 sweep: one independent population per core, no
 /// per-tick barriers. The dual-core relaxed row is the showcase
 /// configuration; the single-core exact row (same block-diagonal image in
-/// one chunk) is its reference; the `relaxed-par` row runs the identical
-/// workload under `SchedMode::RelaxedParallel` with **2 host threads
-/// forced** (recorded in the row), so the threaded path is measured — and
-/// its results pinned — even on single-CPU CI runners. Rasters must match
-/// across all three; the parallel row must additionally reproduce the
-/// relaxed row's spike log, cycles and instret *exactly* (the scheduler's
-/// bit-identity contract).
-fn sweep_rows(name: &str, n_per_core: usize, ticks: u32) -> (Row, Row, Row) {
-    const SWEEP_HOST_THREADS: u32 = 2;
+/// one chunk) is its reference. Rasters must match across both.
+fn sweep_rows(name: &str, n_per_core: usize, ticks: u32) -> (Row, Row) {
     let params = ScenarioParams::default()
         .with_n(n_per_core)
         .with_ticks(ticks)
@@ -527,57 +505,26 @@ fn sweep_rows(name: &str, n_per_core: usize, ticks: u32) -> (Row, Row, Row) {
     let wl = build_scenario("net8020_sweep", params);
     let mut relaxed = build_scenario("net8020_sweep", params);
     relaxed.cfg_mut().system.sched = SchedMode::relaxed();
-    let mut parallel = build_scenario("net8020_sweep", params);
-    parallel.cfg_mut().system.sched = SchedMode::RelaxedParallel {
-        quantum: SchedMode::DEFAULT_QUANTUM,
-        host_threads: SWEEP_HOST_THREADS,
-        timing: izhi_sim::TimingModel::Unit,
-    };
     let mut one_cfg = wl.cfg().clone();
     one_cfg.n_cores = 1;
     one_cfg.system.n_cores = 1;
     let mut one_best: Option<Row> = None;
     let mut two_best: Option<Row> = None;
-    let mut par_best: Option<Row> = None;
     for _ in 0..REPS {
         let (wall_s, res1) =
             time(|| run_workload(&one_cfg, wl.image(), 8_000_000_000).expect("sweep 1-core run"));
-        let one = row_from(&format!("{name}_1core"), "exact", 1, wall_s, &res1);
+        let one = row_from(&format!("{name}_1core"), "exact", wall_s, &res1);
         let (wall_s, res2) = time(|| relaxed.run().expect("sweep 2-core run"));
-        let two = row_from(&format!("{name}_2core"), "relaxed", 1, wall_s, &res2);
-        let (wall_s, res3) = time(|| parallel.run().expect("sweep 2-core parallel run"));
-        let par = row_from(
-            &format!("{name}_2core_par"),
-            "relaxed-par",
-            SWEEP_HOST_THREADS,
-            wall_s,
-            &res3,
-        );
+        let two = row_from(&format!("{name}_2core"), "relaxed", wall_s, &res2);
         assert_eq!(
             sorted(&one.spike_log),
             sorted(&two.spike_log),
             "{name}: partitioning changed the sweep raster"
         );
-        // Bit-identity of the threaded scheduler vs the sequential relaxed
-        // one: same spike log (order included), same relaxed clock, same
-        // retired instructions.
-        assert_eq!(
-            two.spike_log, par.spike_log,
-            "{name}: parallel scheduling changed the spike log"
-        );
-        assert_eq!(
-            two.sim_cycles, par.sim_cycles,
-            "{name}: parallel scheduling changed the cycle count"
-        );
-        assert_eq!(
-            two.sim_instret, par.sim_instret,
-            "{name}: parallel scheduling changed instret"
-        );
         one.keep_best(&mut one_best);
         two.keep_best(&mut two_best);
-        par.keep_best(&mut par_best);
     }
-    (one_best.unwrap(), two_best.unwrap(), par_best.unwrap())
+    (one_best.unwrap(), two_best.unwrap())
 }
 
 /// The quick-scale instance of the paper's Table VI flow: one hard puzzle
@@ -599,7 +546,7 @@ fn sudoku_rows() -> (Row, Row, Row) {
             .downcast_ref::<SudokuWorkload>()
             .expect("sudoku wraps SudokuWorkload");
         let (wall_s, res) = time(|| sudoku.solve(50).expect("sudoku run"));
-        row_from(name, sched, 1, wall_s, &res.workload)
+        row_from(name, sched, wall_s, &res.workload)
     };
     let mut one_best: Option<Row> = None;
     let mut relaxed_best: Option<Row> = None;
@@ -642,19 +589,17 @@ fn json(
     let mut out = String::from("{\n  \"schema\": \"izhirisc-perf-baseline-v11\",\n");
     let _ = writeln!(
         out,
-        "  \"methodology\": \"seed rows: frozen seed interpreter, interleaved with live rows in-process, best of {REPS} reps x {SESSIONS} sessions; 1-core workloads produce a headline row (superblock interpreter + assembler relaxation on), a _norelax diagnostic row (relaxation off; asserted cycle/instret/spike-log identical to the seed — the superblock interpreter is timing-transparent) and a _nosb diagnostic row (superblocks off; asserted bit-identical to the headline row — fusion is dispatch-only), a _relaxed row (SchedMode::Relaxed with kernel offload on — the configuration relaxed sweeps ship; asserted seed spike-log word identity and headline-row instret identity) and a _relaxed_nokernel row (kernels forced off; asserted cycle/instret/spike-log bit-identical to the _relaxed row — kernel offload is dispatch-only); the headline row asserts seed spike-log word identity plus strictly fewer retired instructions; instret_reduction records the headline row's fractional instret saving vs the seed (deterministic, gated on the quick row); 2-core rows assert spike-raster set identity across seed/exact/relaxed schedules; relaxed rows run SchedMode::Relaxed (clock = 1 cycle per instruction, blocking barriers) and report that clock; relaxed-par rows run SchedMode::RelaxedParallel with the recorded host_threads forced and assert spike-log/cycle/instret bit-identity with the relaxed row (host_threads on sequential rows is 1); battery rows: every registered scenario at quick scale, seeds x (sched x timing) combinations sharded across host threads, raster-hash identity asserted across all combinations and each scenario's verification hook recorded; plastic (STDP) rows additionally record an order-independent hash of the final weight state, asserted bit-identical across all combinations; timing records the row's clock (exact = cycle-accurate, unit = 1 cycle/instruction, estimated = static per-op-class CostTable costs); estimated_accuracy: per scenario, estimated-vs-exact sim-cycle ratio summed over battery seeds (the gate bounds it); service: in-process scenario-service burst (bounded queue, supervised workers, two injected faults) — the gate requires health_ok/backpressure_hinted/failure_isolated and positive throughput, never an absolute jobs/s; battery_throughput: the repeat-seed quick battery (every scenario, first battery seed, {THROUGHPUT_TICKS}-tick service-shaped jobs, {THROUGHPUT_REPEATS} repeats) timed twice in-process — cold-building every run vs instantiating from the initially cleared template cache — with per-run hash/cycle/instret identity asserted between the arms; the gate requires cached/cold >= the floor (a same-host ratio, not an absolute runs/s)\","
+        "  \"methodology\": \"seed rows: frozen seed interpreter, interleaved with live rows in-process, best of {REPS} reps x {SESSIONS} sessions; 1-core workloads produce a headline row (superblock interpreter + assembler relaxation on), a _norelax diagnostic row (relaxation off; asserted cycle/instret/spike-log identical to the seed — the superblock interpreter is timing-transparent) and a _nosb diagnostic row (superblocks off; asserted bit-identical to the headline row — fusion is dispatch-only), a _relaxed row (SchedMode::Relaxed with kernel offload on — the configuration relaxed sweeps ship; asserted seed spike-log word identity and headline-row instret identity) and a _relaxed_nokernel row (kernels forced off; asserted cycle/instret/spike-log bit-identical to the _relaxed row — kernel offload is dispatch-only); the headline row asserts seed spike-log word identity plus strictly fewer retired instructions; instret_reduction records the headline row's fractional instret saving vs the seed (deterministic, gated on the quick row); 2-core rows assert spike-raster set identity across seed/exact/relaxed schedules; relaxed rows run SchedMode::Relaxed (clock = 1 cycle per instruction, blocking barriers) and report that clock; battery rows: every registered scenario at quick scale, seeds x (sched x timing) combinations sharded across host threads, raster-hash identity asserted across all combinations and each scenario's verification hook recorded; plastic (STDP) rows additionally record an order-independent hash of the final weight state, asserted bit-identical across all combinations; timing records the row's clock (exact = cycle-accurate, unit = 1 cycle/instruction, estimated = static per-op-class CostTable costs); estimated_accuracy: per scenario, estimated-vs-exact sim-cycle ratio summed over battery seeds (the gate bounds it); service: in-process scenario-service burst (bounded queue, supervised workers, two injected faults) — the gate requires health_ok/backpressure_hinted/failure_isolated and positive throughput, never an absolute jobs/s; battery_throughput: the repeat-seed quick battery (every scenario, first battery seed, {THROUGHPUT_TICKS}-tick service-shaped jobs, {THROUGHPUT_REPEATS} repeats) timed twice in-process — cold-building every run vs instantiating from the initially cleared template cache — with per-run hash/cycle/instret identity asserted between the arms; the gate requires cached/cold >= the floor (a same-host ratio, not an absolute runs/s)\","
     );
     let _ = writeln!(out, "  \"workloads\": [");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"sched\": \"{}\", \"host_threads\": {}, \
-             \"wall_s\": {:.6}, \"sim_cycles\": {}, \
+            "    {{\"name\": \"{}\", \"sched\": \"{}\", \"wall_s\": {:.6}, \"sim_cycles\": {}, \
              \"sim_instret\": {}, \"spikes\": {}, \"sim_cycles_per_s\": {:.0}, \
              \"sim_instr_per_s\": {:.0}}}",
             r.name,
             r.sched,
-            r.host_threads,
             r.wall_s,
             r.sim_cycles,
             r.sim_instret,
@@ -723,14 +668,13 @@ fn json(
 }
 
 /// Run the quick scenario battery: every registered scenario, its battery
-/// seeds × {exact, relaxed, relaxed-par(2 host threads)}, sharded across
-/// host worker threads. Cross-mode raster-hash identity and per-row
+/// seeds × {exact, relaxed, relaxed-est}, sharded across host worker
+/// threads. Cross-mode raster-hash identity and per-row
 /// verification are asserted before the rows are reported.
 fn battery_rows() -> Vec<BatteryRow> {
-    const BATTERY_HOST_THREADS: u32 = 2;
     let specs: Vec<BatterySpec> = scenario::registry()
         .iter()
-        .map(|s| BatterySpec::quick(s, BATTERY_HOST_THREADS))
+        .map(BatterySpec::quick)
         .collect();
     let rows = BatteryRunner::auto()
         .run(&specs)
@@ -854,9 +798,7 @@ fn check_instret_gate(reductions: &[(String, f64)], baseline_path: &str) -> bool
 
 /// Per-scenario estimated-vs-exact simulated-cycle ratio, from the
 /// battery rows: `sum(relaxed-est cycles) / sum(exact cycles)` over each
-/// scenario's battery seeds (summing makes the ratio seed-stable). The
-/// sequential estimated rows are used — `relaxed-par-est` is bit-identical
-/// to them by the scheduler contract, so it would add nothing.
+/// scenario's battery seeds (summing makes the ratio seed-stable).
 fn estimated_accuracy(battery: &[BatteryRow]) -> Vec<(String, f64)> {
     let mut out: Vec<(String, f64)> = Vec::new();
     for row in battery {
@@ -1105,7 +1047,7 @@ fn main() {
             _ => out_path = Some(arg),
         }
     }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_9.json".into());
+    let out_path = out_path.unwrap_or_else(|| "BENCH_10.json".into());
 
     // BENCH_CMP_ONLY=1 runs just the interleaved seed-vs-live rows (fast
     // inner loop for performance work on the interpreter itself).
@@ -1176,10 +1118,9 @@ fn main() {
     }
 
     if !cmp_only && !battery_only {
-        let (one, two, par) = sweep_rows("net8020_sweep_quick", 200, 300);
+        let (one, two) = sweep_rows("net8020_sweep_quick", 200, 300);
         rows.push(one);
         rows.push(two);
-        rows.push(par);
         let (one, relaxed, exact) = sudoku_rows();
         rows.push(one);
         rows.push(relaxed);
@@ -1192,15 +1133,14 @@ fn main() {
     let throughput = (!cmp_only && !battery_only).then(battery_throughput);
 
     println!(
-        "{:<32} {:>11} {:>3} {:>9} {:>14} {:>14} {:>12} {:>12}",
-        "workload", "sched", "ht", "wall [s]", "sim cycles", "sim instret", "Mcycles/s", "Minstr/s"
+        "{:<32} {:>11} {:>9} {:>14} {:>14} {:>12} {:>12}",
+        "workload", "sched", "wall [s]", "sim cycles", "sim instret", "Mcycles/s", "Minstr/s"
     );
     for r in &rows {
         println!(
-            "{:<32} {:>11} {:>3} {:>9.3} {:>14} {:>14} {:>12.2} {:>12.2}",
+            "{:<32} {:>11} {:>9.3} {:>14} {:>14} {:>12.2} {:>12.2}",
             r.name,
             r.sched,
-            r.host_threads,
             r.wall_s,
             r.sim_cycles,
             r.sim_instret,

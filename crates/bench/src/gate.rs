@@ -899,7 +899,7 @@ mod tests {
     const BATTERY_BASELINE: &str = r#"{
   "battery": [
     {"key": "net8020:5:exact", "verified": true},
-    {"key": "net8020:5:relaxed-par", "verified": true}
+    {"key": "net8020:5:relaxed-est", "verified": true}
   ]
 }"#;
 
@@ -911,7 +911,7 @@ mod tests {
     fn battery_gate_passes_when_keys_hold() {
         let f = fresh_battery(&[
             ("net8020:5:exact", true),
-            ("net8020:5:relaxed-par", true),
+            ("net8020:5:relaxed-est", true),
             ("extra:1:exact", true), // extra fresh rows are fine
         ]);
         let report = check_battery_gate(&f, BATTERY_BASELINE);
@@ -926,18 +926,18 @@ mod tests {
         assert_eq!(
             report.failures,
             vec![GateFailure::MissingEntry(
-                "net8020:5:relaxed-par".to_string()
+                "net8020:5:relaxed-est".to_string()
             )]
         );
     }
 
     #[test]
     fn battery_gate_errors_on_unverified_row() {
-        let f = fresh_battery(&[("net8020:5:exact", true), ("net8020:5:relaxed-par", false)]);
+        let f = fresh_battery(&[("net8020:5:exact", true), ("net8020:5:relaxed-est", false)]);
         let report = check_battery_gate(&f, BATTERY_BASELINE);
         assert_eq!(
             report.failures,
-            vec![GateFailure::Unverified("net8020:5:relaxed-par".to_string())]
+            vec![GateFailure::Unverified("net8020:5:relaxed-est".to_string())]
         );
     }
 

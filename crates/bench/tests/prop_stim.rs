@@ -1,15 +1,14 @@
 //! Property suite for the MMIO stimulus path: the injected schedule is a
 //! *data* input, so for randomly generated stimulus plans — bursty,
 //! duplicated, unordered — every scheduling mode must land on the same
-//! physics. Exact, `Relaxed` and `RelaxedParallel` at host_threads
-//! {1, 2, 4} must produce bit-identical raster hashes (and, with STDP
-//! switched on, bit-identical final weight hashes): the stimulus drain
-//! runs inside the tick's phase A, so neither quantum boundaries nor
-//! host-thread commit order may leak into when a stimulus lands.
+//! physics. Exact and `Relaxed` must produce bit-identical raster hashes
+//! (and, with STDP switched on, bit-identical final weight hashes): the
+//! stimulus drain runs inside the tick's phase A, so quantum boundaries
+//! may not leak into when a stimulus lands.
 
 use izhi_programs::net8020::Net8020Workload;
 use izhi_programs::scenario::Workload;
-use izhi_sim::{SchedMode, StimPlan, TimingModel};
+use izhi_sim::{SchedMode, StimPlan};
 use izhi_snn::noise::XorShift32;
 
 /// A deterministic but adversarial plan: random ticks in random order,
@@ -29,25 +28,13 @@ fn random_plan(seed: u32, ticks: u32, n: u32, chunk: u32, events: u32) -> StimPl
     plan
 }
 
-/// The mode set the property quantifies over: exact, sequential relaxed
-/// and host-parallel relaxed at 1, 2 and 4 worker threads (Unit timing;
-/// the clock cannot move a stimulus, only the schedule could).
-fn modes() -> Vec<(String, SchedMode)> {
-    let mut set = vec![
-        ("exact".to_string(), SchedMode::Exact),
-        ("relaxed".to_string(), SchedMode::relaxed()),
-    ];
-    for host_threads in [1u32, 2, 4] {
-        set.push((
-            format!("relaxed-par ht={host_threads}"),
-            SchedMode::RelaxedParallel {
-                quantum: SchedMode::DEFAULT_QUANTUM,
-                host_threads,
-                timing: TimingModel::Unit,
-            },
-        ));
-    }
-    set
+/// The mode set the property quantifies over: exact and relaxed (Unit
+/// timing; the clock cannot move a stimulus, only the schedule could).
+fn modes() -> [(&'static str, SchedMode); 2] {
+    [
+        ("exact", SchedMode::Exact),
+        ("relaxed", SchedMode::relaxed()),
+    ]
 }
 
 /// Run `wl` under `sched` and return (raster hash, weight hash).

@@ -1,14 +1,13 @@
 //! The scenario-battery acceptance suite: **every** scenario in the
 //! registry — present and future — must be deterministic and
-//! raster-identical across `Exact`, `Relaxed` and `RelaxedParallel`,
-//! under both relaxed clocks (`Unit` and `Estimated` timing), at
-//! host_threads {1, 2}. A scenario added to the registry is picked up
-//! here automatically; one that breaks the cross-mode contract cannot
-//! land.
+//! raster-identical across `Exact` and `Relaxed`, under both relaxed
+//! clocks (`Unit` and `Estimated` timing). A scenario added to the
+//! registry is picked up here automatically; one that breaks the
+//! cross-mode contract cannot land.
 
 use izhi_bench::battery::{self, BatteryRunner, BatterySpec};
 use izhi_programs::scenario::{self, ScenarioParams};
-use izhi_sim::{SchedMode, TimingModel};
+use izhi_sim::SchedMode;
 
 fn run_quick(sc: &scenario::Scenario, sched: SchedMode) -> izhi_programs::WorkloadResult {
     let mut wl = sc.build_quick(&ScenarioParams::default());
@@ -78,39 +77,6 @@ fn every_scenario_is_deterministic_and_sched_identical() {
             est.cycles,
             relaxed.cycles
         );
-
-        // Host-parallel relaxed must be bit-identical to sequential
-        // relaxed at every host-thread count — per timing model.
-        for (timing, reference) in [
-            (TimingModel::Unit, &relaxed),
-            (TimingModel::Estimated, &est),
-        ] {
-            for host_threads in [1u32, 2] {
-                let parallel = run_quick(
-                    sc,
-                    SchedMode::RelaxedParallel {
-                        quantum: SchedMode::DEFAULT_QUANTUM,
-                        host_threads,
-                        timing,
-                    },
-                );
-                assert_eq!(
-                    reference.raster.spikes, parallel.raster.spikes,
-                    "{}: {timing:?} ht={host_threads} spike-log order",
-                    sc.name
-                );
-                assert_eq!(
-                    reference.cycles, parallel.cycles,
-                    "{}: {timing:?} ht={host_threads} cycles",
-                    sc.name
-                );
-                assert_eq!(
-                    reference.instret, parallel.instret,
-                    "{}: {timing:?} ht={host_threads} instret",
-                    sc.name
-                );
-            }
-        }
     }
 }
 
@@ -118,7 +84,7 @@ fn every_scenario_is_deterministic_and_sched_identical() {
 fn stdp_battery_pins_the_golden_weight_hashes() {
     let sc = scenario::find("net8020_stdp").expect("registered");
     let rows = BatteryRunner { host_threads: 2 }
-        .run(&[BatterySpec::quick(sc, 2)])
+        .run(&[BatterySpec::quick(sc)])
         .expect("battery run");
     battery::check_rows(&rows).expect("battery identity/verification");
     // Golden final-weight-state hashes at the quick shape (n=160,
@@ -126,7 +92,7 @@ fn stdp_battery_pins_the_golden_weight_hashes() {
     // on these exact values; an engine change that alters how STDP
     // evolves the weights must be deliberate enough to re-pin them.
     let golden = [(21u32, 0x281401fe0c8b5c8b_u64), (22, 0x6dc8e5ac94680514)];
-    assert_eq!(rows.len(), golden.len() * 5, "seeds x sched modes");
+    assert_eq!(rows.len(), golden.len() * 3, "seeds x sched modes");
     for row in &rows {
         let expect = golden
             .iter()
@@ -157,7 +123,7 @@ fn sharded_battery_crosses_the_standard_map() {
     let rows = BatteryRunner { host_threads: 2 }
         .run(&[BatterySpec {
             seeds: vec![sc.battery_seeds[0]],
-            ..BatterySpec::quick(sc, 2)
+            ..BatterySpec::quick(sc)
         }])
         .expect("battery run");
     battery::check_rows(&rows).expect("battery identity/verification");
@@ -178,7 +144,7 @@ fn battery_runner_shards_the_registry_and_checks_identity() {
         .iter()
         .map(|s| BatterySpec {
             seeds: vec![s.battery_seeds[0]],
-            ..BatterySpec::quick(s, 2)
+            ..BatterySpec::quick(s)
         })
         .collect();
     let rows = BatteryRunner { host_threads: 2 }
@@ -186,25 +152,16 @@ fn battery_runner_shards_the_registry_and_checks_identity() {
         .expect("battery run");
     assert_eq!(
         rows.len(),
-        scenario::registry().len() * 5,
+        scenario::registry().len() * 3,
         "one row per scenario x (sched x timing) combination"
     );
     battery::check_rows(&rows).expect("battery identity/verification");
     // Row order is the deterministic work-list order, not completion
     // order: scenario-major, then seed, then sched x timing.
-    let labels: Vec<_> = rows.iter().take(5).map(|r| r.sched).collect();
-    assert_eq!(
-        labels,
-        [
-            "exact",
-            "relaxed",
-            "relaxed-par",
-            "relaxed-est",
-            "relaxed-par-est"
-        ]
-    );
-    let timings: Vec<_> = rows.iter().take(5).map(|r| r.timing).collect();
-    assert_eq!(timings, ["exact", "unit", "unit", "estimated", "estimated"]);
+    let labels: Vec<_> = rows.iter().take(3).map(|r| r.sched).collect();
+    assert_eq!(labels, ["exact", "relaxed", "relaxed-est"]);
+    let timings: Vec<_> = rows.iter().take(3).map(|r| r.timing).collect();
+    assert_eq!(timings, ["exact", "unit", "estimated"]);
 }
 
 /// Assembler relaxation soundness, swept over **every** registry

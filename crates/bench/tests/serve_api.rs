@@ -3,11 +3,12 @@
 //! take the server down), and graceful shutdown that drains accepted
 //! work while still answering health and status queries.
 
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use izhi_bench::serve::{
     failure_isolated, generate_load, http_request, json_field_str, json_field_u64, tiny_job_body,
-    ServeConfig, Server, ServerHandle,
+    ServeConfig, Server, ServerHandle, MAX_CONNECTIONS,
 };
 use izhi_bench::supervise::SuperviseConfig;
 
@@ -199,4 +200,53 @@ fn shutdown_drains_accepted_jobs_and_refuses_new_ones() {
         );
     }
     handle.join();
+}
+
+#[test]
+fn idle_connections_do_not_block_health() {
+    // Clients that connect and send nothing hold their own handler
+    // threads until the request deadline; every other client is served
+    // at once instead of queueing behind them.
+    let handle = start(8, 1);
+    let addr = handle.addr().to_string();
+    let idle: Vec<TcpStream> = (0..5)
+        .map(|_| TcpStream::connect(&addr).expect("idle connect"))
+        .collect();
+    let start = Instant::now();
+    let (status, body) = http_request(&addr, "GET", "/health", None).expect("health");
+    let took = start.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        took < Duration::from_secs(1),
+        "/health took {took:?} behind {} idle connections",
+        idle.len()
+    );
+    drop(idle);
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn connections_beyond_the_cap_get_503_until_one_frees() {
+    let handle = start(8, 1);
+    let addr = handle.addr().to_string();
+    let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(&addr).expect("idle connect"))
+        .collect();
+    let (status, body) = http_request(&addr, "GET", "/health", None).expect("over the cap");
+    assert_eq!(status, 503, "{body}");
+    // Closing the idle clients frees their handlers.
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, body) = http_request(&addr, "GET", "/health", None).expect("health");
+        if status == 200 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "handlers never freed: {status} {body}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.shutdown_and_join();
 }

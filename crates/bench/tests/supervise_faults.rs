@@ -134,7 +134,7 @@ fn battery_rows(faults: FaultPlan, supervise: SuperviseConfig) -> Vec<BatteryRow
         seeds: vec![5],
         faults,
         supervise,
-        ..BatterySpec::quick(sc, 2)
+        ..BatterySpec::quick(sc)
     };
     BatteryRunner { host_threads: 2 }
         .run(&[spec])
@@ -150,7 +150,7 @@ fn a_panicking_job_becomes_a_failed_row_not_a_dead_runner() {
             ..Default::default()
         },
     );
-    assert_eq!(rows.len(), 5, "every sched x timing combination got a row");
+    assert_eq!(rows.len(), 3, "every sched x timing combination got a row");
     for row in &rows {
         assert!(
             !row.verified,
@@ -197,7 +197,7 @@ fn an_empty_fault_plan_leaves_the_battery_bit_identical() {
             params: ScenarioParams::default().with_n(60).with_ticks(20),
             seeds: vec![5, 6],
             faults,
-            ..BatterySpec::quick(sc, 2)
+            ..BatterySpec::quick(sc)
         };
         BatteryRunner { host_threads: 2 }
             .run(&[spec])
@@ -240,12 +240,12 @@ fn a_faulted_sharded_run_fails_classified_not_hung() {
             retry: RetryPolicy::no_retry(),
             ..Default::default()
         },
-        ..BatterySpec::quick(sc, 2)
+        ..BatterySpec::quick(sc)
     };
     let rows = BatteryRunner { host_threads: 2 }
         .run(&[spec])
         .expect("the runner survives faulty scale-out jobs");
-    assert_eq!(rows.len(), 5, "every sched x timing combination got a row");
+    assert_eq!(rows.len(), 3, "every sched x timing combination got a row");
     for row in &rows {
         assert!(
             !row.verified,
@@ -282,7 +282,7 @@ fn a_quick_battery_under_injected_faults_completes_with_structured_rows() {
                 ..Default::default()
             },
         );
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 3);
         assert!(
             rows.iter().all(|r| r.error_kind == Some(expected)),
             "{kind:?}: every row carries the structured kind"

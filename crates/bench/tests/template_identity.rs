@@ -8,32 +8,14 @@
 
 use izhi_programs::scenario::{self, ScenarioParams, Workload};
 use izhi_programs::WorkloadResult;
-use izhi_sim::{SchedMode, TimingModel};
+use izhi_sim::SchedMode;
 
-/// The battery's five sched × timing combinations (2 forced host threads
-/// on the parallel rows, so the threaded path runs even on single-CPU
-/// machines).
-fn modes() -> [(&'static str, SchedMode); 5] {
+/// The battery's three sched × timing combinations.
+fn modes() -> [(&'static str, SchedMode); 3] {
     [
         ("exact", SchedMode::Exact),
         ("relaxed", SchedMode::relaxed()),
-        (
-            "relaxed-par",
-            SchedMode::RelaxedParallel {
-                quantum: SchedMode::DEFAULT_QUANTUM,
-                host_threads: 2,
-                timing: TimingModel::Unit,
-            },
-        ),
         ("relaxed-est", SchedMode::relaxed_estimated()),
-        (
-            "relaxed-par-est",
-            SchedMode::RelaxedParallel {
-                quantum: SchedMode::DEFAULT_QUANTUM,
-                host_threads: 2,
-                timing: TimingModel::Estimated,
-            },
-        ),
     ]
 }
 

@@ -622,7 +622,7 @@ impl WorkloadResult {
     /// Order-independent FNV-1a hash of the spike raster (the raster *as a
     /// set*): identical across scheduling modes whenever the physics are,
     /// regardless of within-tick commit order. The battery runner compares
-    /// this across `Exact`/`Relaxed`/`RelaxedParallel` rows.
+    /// this across `Exact`/`Relaxed` rows.
     pub fn raster_hash(&self) -> u64 {
         let mut spikes = self.raster.spikes.clone();
         spikes.sort_unstable();
@@ -1774,6 +1774,33 @@ mod tests {
         let cfg = EngineConfig::new(20, 5, 1, Variant::SoftFloat);
         let prep = prepare_run(&cfg, &image);
         assert!(prep.code.kernel_spans().is_empty());
+
+        // The real shapes: every fixed-point registry scenario at its
+        // quick and its default parameters, with assembler relaxation on
+        // and off, must register both spans Ready.
+        for sc in crate::scenario::registry() {
+            for quick in [true, false] {
+                let wl = if quick {
+                    sc.build_quick(&crate::scenario::ScenarioParams::default())
+                } else {
+                    sc.build(&crate::scenario::ScenarioParams::default())
+                };
+                if wl.cfg().variant == Variant::SoftFloat {
+                    continue;
+                }
+                for relax in [true, false] {
+                    let mut cfg = wl.cfg().clone();
+                    cfg.system.asm_relax = relax;
+                    let prep = prepare_run(&cfg, wl.image());
+                    let spans = prep.code.kernel_spans();
+                    let what = format!("{} quick={quick} relax={relax}", sc.name);
+                    assert_eq!(spans.len(), 2, "{what}: both inner loops register");
+                    for s in spans {
+                        assert_eq!(s.state, SpanState::Ready, "{what}: span at {:#x}", s.entry);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1930,42 +1957,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_parallel_matches_relaxed_on_coupled_engine() {
-        // The coupled engine barriers twice per tick, so under
-        // host-parallel scheduling nearly every quantum defers at a
-        // barrier arrival and finishes in the sequential commit phase —
-        // the worst case for the parallel scheduler, which must still be
-        // bit-identical to the sequential relaxed schedule (spike-log
-        // order, relaxed clock, instret), on even and odd core splits.
-        use izhi_sim::{SchedMode, TimingModel};
-        let net = tiny_net(20);
-        let bias = vec![6.0; 20];
-        let noise = vec![2.0; 20];
-        let image = GuestImage::from_network(&net, &bias, &noise, 120, 11);
-        for (cores, quantum) in [(2u32, 64u64), (3, 4096)] {
-            let mut cfg = EngineConfig::new(20, 120, cores, Variant::Npu);
-            cfg.system.sched = SchedMode::Relaxed {
-                quantum,
-                timing: TimingModel::Unit,
-            };
-            let relaxed = run_workload(&cfg, &image, 4_000_000_000).unwrap();
-            assert!(!relaxed.raster.spikes.is_empty());
-            for host_threads in [1u32, 2, 4] {
-                cfg.system.sched = SchedMode::RelaxedParallel {
-                    quantum,
-                    host_threads,
-                    timing: TimingModel::Unit,
-                };
-                let par = run_workload(&cfg, &image, 4_000_000_000).unwrap();
-                let tag = format!("cores {cores} quantum {quantum} ht {host_threads}");
-                assert_eq!(relaxed.raster.spikes, par.raster.spikes, "{tag}: spikes");
-                assert_eq!(relaxed.cycles, par.cycles, "{tag}: cycles");
-                assert_eq!(relaxed.instret, par.instret, "{tag}: instret");
-            }
-        }
-    }
-
-    #[test]
     fn scaled_layout_matches_standard_layout_raster() {
         // The same network run on 16 cores (scaled map: restacked scratch,
         // 16 core slots, CSR-only SDRAM) must reproduce the 4-core
@@ -2105,18 +2096,6 @@ mod tests {
                 .unwrap()
                 .raster_hash(),
         );
-        for host_threads in [1u32, 2, 4] {
-            cfg.system.sched = SchedMode::RelaxedParallel {
-                quantum: 50_000,
-                host_threads,
-                timing: TimingModel::Unit,
-            };
-            hashes.push(
-                run_workload(&cfg, &image, 4_000_000_000)
-                    .unwrap()
-                    .raster_hash(),
-            );
-        }
         assert!(
             hashes.iter().all(|&h| h == hashes[0]),
             "stimulated run diverged across schedulers: {hashes:?}"

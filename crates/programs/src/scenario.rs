@@ -35,7 +35,7 @@ use crate::sweep::{Net8020SweepWorkload, SweepPoint};
 ///
 /// The scheduling mode lives in the engine configuration
 /// (`cfg_mut().system.sched`), so one built instance can be run under
-/// `Exact`, `Relaxed` or `RelaxedParallel` without rebuilding the image.
+/// `Exact` or `Relaxed` without rebuilding the image.
 ///
 /// Since the run-template redesign a workload may be backed by a cached,
 /// copy-on-write build snapshot ([`crate::template::RunInstance`]): the

@@ -198,43 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_parallel_is_bit_identical_to_relaxed() {
-        // The showcase workload for host-parallel scheduling: zero
-        // cross-core traffic after the start-up barrier. At every tested
-        // quantum and host-thread count the parallel scheduler must
-        // reproduce the sequential relaxed run exactly — spike log in
-        // order, relaxed clock, instret — and therefore also the exact
-        // run's raster as a set.
-        let base = Net8020SweepWorkload::sized(40, 10, 200, 2, 9);
-        let exact = base.run().unwrap();
-        for quantum in [7u64, SchedMode::DEFAULT_QUANTUM] {
-            let mut rel = base.clone();
-            rel.cfg.system.sched = SchedMode::Relaxed {
-                quantum,
-                timing: TimingModel::Unit,
-            };
-            let relaxed = rel.run().unwrap();
-            for host_threads in [1u32, 2, 4] {
-                let mut par = base.clone();
-                par.cfg.system.sched = SchedMode::RelaxedParallel {
-                    quantum,
-                    host_threads,
-                    timing: TimingModel::Unit,
-                };
-                let parallel = par.run().unwrap();
-                let tag = format!("quantum {quantum} host_threads {host_threads}");
-                assert_eq!(
-                    relaxed.raster.spikes, parallel.raster.spikes,
-                    "{tag}: spike order"
-                );
-                assert_eq!(relaxed.cycles, parallel.cycles, "{tag}: cycles");
-                assert_eq!(relaxed.instret, parallel.instret, "{tag}: instret");
-                assert_eq!(sorted(&exact), sorted(&parallel), "{tag}: raster vs exact");
-            }
-        }
-    }
-
-    #[test]
     fn partitioning_does_not_change_the_dynamics() {
         // The same block-diagonal image run on one core (whole network in
         // one chunk, dense rows include the zero cross-blocks) must produce

@@ -105,9 +105,7 @@ impl OpClass {
 /// Static per-class cycle costs for the Estimated timing policy
 /// (`TimingModel::Estimated`): each retired instruction charges its
 /// class's cost, nothing else. The table is immutable shared data — the
-/// policy reads [`CostTable::DEFAULT`] and never any mutable state, so
-/// `RelaxedParallel` stays race-free and bit-identical across host-thread
-/// counts.
+/// policy reads [`CostTable::DEFAULT`] and never any mutable state.
 ///
 /// The defaults approximate the exact model's *average* per-op cost on
 /// the repo's SNN workloads (high cache hit rates, mostly-taken loop

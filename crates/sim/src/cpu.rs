@@ -16,8 +16,7 @@ use izhi_isa::reg::Reg;
 
 use crate::cache::{Access, Cache};
 use crate::counters::{self, CostTable, PerfCounters};
-use crate::kernel::{KernelHeader, SpanState};
-use crate::mem::layout;
+use crate::mem::{layout, read_slice, write_slice};
 use crate::mmio::{FaultKind, MmioEffect};
 use crate::predecode::{MicroOp, PreInst, SlotState, MAX_SB, NO_DEST};
 use crate::system::Shared;
@@ -34,10 +33,8 @@ use crate::system::Shared;
 ///   per retired instruction, no timing state touched (the historical
 ///   `TIMING = false` loop).
 /// * [`EstimatedTiming`] — static per-op-class costs from
-///   [`CostTable::DEFAULT`]: still no shared mutable state (safe under the
-///   host-parallel scheduler, bit-identical at every host-thread count),
-///   but the clock now approximates the exact model instead of counting
-///   instructions.
+///   [`CostTable::DEFAULT`]: still no timing state touched, but the clock
+///   now approximates the exact model instead of counting instructions.
 pub(crate) trait Timing {
     /// Whether the full cycle-exact machinery (caches, shared bus,
     /// hazard/flush stalls, iterative divider) runs. Non-exact policies
@@ -84,74 +81,6 @@ impl Timing for EstimatedTiming {
     fn op_cost(op: MicroOp) -> u64 {
         CostTable::DEFAULT.op_cost(op)
     }
-}
-
-/// Everything one instruction needs from the world outside the core.
-///
-/// The interpreter ([`Core::exec_one`]) is generic over this trait so the
-/// same hot loop monomorphises against two very different backings:
-///
-/// * [`Shared`] — the whole-system state used by the exact and
-///   single-threaded relaxed schedulers (the historical code path; every
-///   method inlines to exactly the field accesses the loop made before the
-///   trait existed);
-/// * the per-core shard contexts of the host-parallel relaxed scheduler
-///   ([`crate::parallel`]), which route RAM through a raw sharded view,
-///   buffer append-only device traffic per core, and never touch the
-///   exact timing machinery (they only ever instantiate non-exact
-///   [`Timing`] policies).
-///
-/// The timing hooks (`bus_acquire`, `burst`, `div_latency`) are only
-/// reached from [`ExactTiming`] instantiations.
-pub(crate) trait ExecCtx {
-    /// Fetch the predecoded slot covering `pc` (decoding on first use).
-    fn fetch(&mut self, pc: u32) -> PreInst;
-    /// The raw instruction word at `pc` (trap reporting only).
-    fn code_word(&self, pc: u32) -> Option<u32>;
-    /// Scratchpad size in bytes.
-    fn scratch_size(&self) -> u32;
-    /// SDRAM size in bytes.
-    fn sdram_size(&self) -> u32;
-    /// Functional read from the scratchpad at byte offset `off`.
-    fn read_scratch(&self, off: usize, op: LoadOp) -> Option<u32>;
-    /// Functional read from SDRAM at byte offset `off`.
-    fn read_sdram(&self, off: usize, op: LoadOp) -> Option<u32>;
-    /// Functional write into the scratchpad.
-    fn write_scratch(&mut self, off: usize, value: u32, op: StoreOp) -> bool;
-    /// Functional write into SDRAM.
-    fn write_sdram(&mut self, off: usize, value: u32, op: StoreOp) -> bool;
-    /// Store-to-code guard for a store to `addr`.
-    fn invalidate_store(&mut self, addr: u32);
-    /// 32-bit MMIO read at `offset` from `core_id` at local time `now`.
-    fn mmio_read(&mut self, core_id: u32, offset: u32, now: u64) -> u32;
-    /// 32-bit MMIO write; returns the effect the core must apply.
-    fn mmio_write(&mut self, core_id: u32, offset: u32, value: u32) -> MmioEffect;
-    /// Append bytes to the console (`ecall` host services).
-    fn console_extend(&mut self, bytes: &[u8]);
-    /// Arbitrate for the shared bus (timing model only).
-    fn bus_acquire(&mut self, now: u64, duration: u64) -> u64;
-    /// Burst duration for `words` transfers (timing model only).
-    fn burst(&self, words: u64) -> u64;
-    /// Iterative-divider latency (timing model only).
-    fn div_latency(&self) -> u64;
-    /// Whether the CSR-writeback hazard fix is modelled.
-    fn csr_writeback(&self) -> bool;
-    /// Whether superblock execution is enabled for this run (the
-    /// `IZHI_SUPERBLOCKS` / `--no-superblocks` escape hatch).
-    fn superblocks_enabled(&self) -> bool;
-    /// Look up (forming on first use) the fused superblock starting at
-    /// `pc`; see [`crate::predecode::CodeTable::superblock`].
-    fn superblock(&mut self, pc: u32, buf: &mut [PreInst; MAX_SB]) -> (u32, u32);
-    /// Whether kernel-span batch execution is enabled for this run *and*
-    /// any span is registered (the `IZHI_KERNELS` / `--no-kernels` escape
-    /// hatch; runs without registered spans pay nothing either way).
-    fn kernels_enabled(&self) -> bool;
-    /// Header of the kernel span whose entry is exactly `pc`, if any.
-    fn kernel_match(&self, pc: u32) -> Option<KernelHeader>;
-    /// Copy span `idx`'s decoded trace into `buf`; returns the length.
-    fn kernel_copy(&self, idx: u8, buf: &mut [PreInst]) -> usize;
-    /// Write back a span's lifecycle state after re-verification.
-    fn kernel_set_state(&mut self, idx: u8, state: SpanState);
 }
 
 /// Why a core stopped abnormally.
@@ -229,12 +158,6 @@ pub(crate) enum RunStop {
     /// The core arrived at an incomplete barrier round (relaxed scheduling
     /// only): it must be descheduled until the barrier releases.
     Parked,
-    /// The next instruction targets a shared-interactive MMIO register
-    /// (mutex / barrier / RNG). Only produced by the host-parallel
-    /// scheduler's pre-checked quantum loop — never by [`Core::run_while`]
-    /// itself — and it stops the core *before* the access executes, so
-    /// the sequential commit phase can replay it against the real devices.
-    SharedOp,
 }
 
 /// Hazard class of the previously retired instruction.
@@ -432,20 +355,20 @@ impl Core {
     /// self`), so the inlined hot path keeps pc/clock/hazard state in
     /// registers across the miss-branch join points.
     #[cold]
-    fn icache_refill<C: ExecCtx>(time: u64, words: u64, ctx: &mut C) -> u64 {
-        let dur = ctx.burst(words);
-        let done = ctx.bus_acquire(time, dur);
+    fn icache_refill(time: u64, words: u64, shared: &mut Shared) -> u64 {
+        let dur = shared.bus_timings.burst(words);
+        let done = shared.bus.acquire(time, dur);
         done - time
     }
 
     /// D-cache refill (+ optional dirty writeback): stall cycles.
     #[cold]
-    fn dcache_refill<C: ExecCtx>(time: u64, words: u64, writeback: bool, ctx: &mut C) -> u64 {
-        let mut dur = ctx.burst(words);
+    fn dcache_refill(time: u64, words: u64, writeback: bool, shared: &mut Shared) -> u64 {
+        let mut dur = shared.bus_timings.burst(words);
         if writeback {
-            dur += ctx.burst(words);
+            dur += shared.bus_timings.burst(words);
         }
-        let done = ctx.bus_acquire(time, dur);
+        let done = shared.bus.acquire(time, dur);
         done - time
     }
 
@@ -454,8 +377,8 @@ impl Core {
     /// steals bandwidth from the other core's cache refills (a classic
     /// shared-bus effect that bounds the paper's dual-core speedup below 2).
     #[cold]
-    fn mmio_timing<C: ExecCtx>(time: u64, ctx: &mut C) -> u64 {
-        let done = ctx.bus_acquire(time, 4);
+    fn mmio_timing(time: u64, shared: &mut Shared) -> u64 {
+        let done = shared.bus.acquire(time, 4);
         (done - time).max(2)
     }
 
@@ -471,7 +394,7 @@ impl Core {
     /// conservatively — `false` merely routes one write through the full
     /// probe, which is always correct.
     #[inline]
-    fn sdram_timing<C: ExecCtx>(&mut self, ctx: &mut C, addr: u32, write: bool) -> u64 {
+    fn sdram_timing(&mut self, shared: &mut Shared, addr: u32, write: bool) -> u64 {
         let line = addr >> self.dline_shift;
         if line == self.last_dline && (!write || self.last_dline_dirty) {
             self.dcache.hits += 1;
@@ -486,7 +409,7 @@ impl Core {
                     self.time,
                     self.dcache.config().line_words() as u64,
                     writeback,
-                    ctx,
+                    shared,
                 );
                 self.counters.mem_stall_cycles += stall;
                 stall
@@ -495,9 +418,9 @@ impl Core {
     }
 
     #[inline]
-    fn load<T: Timing, C: ExecCtx>(
+    fn load<T: Timing>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         addr: u32,
         op: LoadOp,
         pc: u32,
@@ -513,40 +436,44 @@ impl Core {
         // Classify the region exactly once; fall through to one of three
         // disjoint paths (scratchpad / cached SDRAM / MMIO) ordered by
         // access frequency, each indexing its backing slice directly.
-        let (value, extra) = if addr.wrapping_sub(layout::SCRATCH_BASE) < ctx.scratch_size() {
+        let (value, extra) = if addr.wrapping_sub(layout::SCRATCH_BASE) < shared.mem.scratch_size()
+        {
             self.counters.loads += 1;
             let off = addr.wrapping_sub(layout::SCRATCH_BASE) as usize;
-            let value = ctx.read_scratch(off, op).ok_or(TrapCause::BadAccess {
-                pc,
-                addr,
-                store: false,
-            })?;
-            (value, 0)
-        } else if addr < ctx.sdram_size() {
-            self.counters.loads += 1;
-            let extra = if T::EXACT {
-                self.sdram_timing(ctx, addr, false)
-            } else {
-                0
-            };
-            let value = ctx
-                .read_sdram(addr as usize, op)
-                .ok_or(TrapCause::BadAccess {
+            let value =
+                read_slice(shared.mem.scratch_bytes(), off, op).ok_or(TrapCause::BadAccess {
                     pc,
                     addr,
                     store: false,
                 })?;
+            (value, 0)
+        } else if addr < shared.mem.sdram_size() {
+            self.counters.loads += 1;
+            let extra = if T::EXACT {
+                self.sdram_timing(shared, addr, false)
+            } else {
+                0
+            };
+            let value = read_slice(shared.mem.sdram_bytes(), addr as usize, op).ok_or(
+                TrapCause::BadAccess {
+                    pc,
+                    addr,
+                    store: false,
+                },
+            )?;
             (value, extra)
         } else if addr.wrapping_sub(layout::MMIO_BASE) < layout::MMIO_SIZE {
             self.counters.loads += 1;
             let extra = if T::EXACT {
-                let extra = Self::mmio_timing(self.time, ctx);
+                let extra = Self::mmio_timing(self.time, shared);
                 self.counters.mem_stall_cycles += extra;
                 extra
             } else {
                 0
             };
-            let value = ctx.mmio_read(self.id, addr - layout::MMIO_BASE, self.time);
+            let value = shared
+                .dev
+                .read(self.id, addr - layout::MMIO_BASE, self.time);
             (value, extra)
         } else {
             return Err(TrapCause::BadAccess {
@@ -564,9 +491,9 @@ impl Core {
     }
 
     #[inline]
-    fn store<T: Timing, C: ExecCtx>(
+    fn store<T: Timing>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         addr: u32,
         value: u32,
         op: StoreOp,
@@ -582,12 +509,12 @@ impl Core {
         }
         // Same single classification as `load`, ordered by access
         // frequency: scratch, then cached SDRAM, then MMIO, then the trap.
-        let in_scratch = addr.wrapping_sub(layout::SCRATCH_BASE) < ctx.scratch_size();
-        if !in_scratch && addr >= ctx.sdram_size() {
+        let in_scratch = addr.wrapping_sub(layout::SCRATCH_BASE) < shared.mem.scratch_size();
+        if !in_scratch && addr >= shared.mem.sdram_size() {
             if addr.wrapping_sub(layout::MMIO_BASE) < layout::MMIO_SIZE {
                 self.counters.stores += 1;
                 let extra = if T::EXACT {
-                    let extra = Self::mmio_timing(self.time, ctx);
+                    let extra = Self::mmio_timing(self.time, shared);
                     self.counters.mem_stall_cycles += extra;
                     extra
                 } else {
@@ -603,7 +530,7 @@ impl Core {
                 } else {
                     value
                 };
-                let effect = ctx.mmio_write(self.id, offset, value);
+                let effect = shared.dev.write(self.id, offset, value);
                 return Ok((extra, effect));
             }
             return Err(TrapCause::BadAccess {
@@ -615,14 +542,20 @@ impl Core {
         self.counters.stores += 1;
         let (extra, ok) = if in_scratch {
             let off = addr.wrapping_sub(layout::SCRATCH_BASE) as usize;
-            (0, ctx.write_scratch(off, value, op))
+            (
+                0,
+                write_slice(shared.mem.scratch_bytes_mut(), off, value, op),
+            )
         } else {
             let extra = if T::EXACT {
-                self.sdram_timing(ctx, addr, true)
+                self.sdram_timing(shared, addr, true)
             } else {
                 0
             };
-            (extra, ctx.write_sdram(addr as usize, value, op))
+            (
+                extra,
+                write_slice(shared.mem.sdram_bytes_mut(), addr as usize, value, op),
+            )
         };
         if !ok {
             return Err(TrapCause::BadAccess {
@@ -633,7 +566,7 @@ impl Core {
         }
         // Store-to-code guard: writing into a predecoded window forces a
         // re-decode of the covered slot on its next fetch.
-        ctx.invalidate_store(addr);
+        shared.code.invalidate_store(addr);
         Ok((extra, MmioEffect::None))
     }
 
@@ -650,8 +583,8 @@ impl Core {
     /// Hazard class of an nm instruction's register-file writeback: the
     /// paper's proposed CSR-writeback fix removes the stall entirely.
     #[inline]
-    fn nm_kind<C: ExecCtx>(&self, ctx: &C) -> PrevKind {
-        if ctx.csr_writeback() {
+    fn nm_kind(&self, shared: &Shared) -> PrevKind {
+        if shared.csr_writeback {
             PrevKind::Bypassed
         } else {
             PrevKind::NmWriteback
@@ -671,11 +604,11 @@ impl Core {
 
     /// Trap for a failed fetch (illegal encoding or unmapped pc).
     #[cold]
-    fn fetch_trap<C: ExecCtx>(state: SlotState, pc: u32, ctx: &C) -> TrapCause {
+    fn fetch_trap(state: SlotState, pc: u32, shared: &Shared) -> TrapCause {
         if state == SlotState::Illegal {
             TrapCause::IllegalInstruction {
                 pc,
-                word: ctx.code_word(pc).unwrap_or(0),
+                word: shared.mem.read_u32(pc).unwrap_or(0),
             }
         } else {
             TrapCause::BadFetch { pc }
@@ -685,18 +618,21 @@ impl Core {
     /// `ecall` host services (kept out of line: the string-formatting
     /// machinery would otherwise bloat the interpreter's stack frame).
     #[cold]
-    fn ecall<C: ExecCtx>(&mut self, ctx: &mut C) {
+    fn ecall(&mut self, shared: &mut Shared) {
         // Minimal host services, newlib-free.
         match self.reg(Reg::A7) {
             0 | 93 => self.halted = true,
             1 => {
                 let s = (self.reg(Reg::A0) as i32).to_string();
-                ctx.console_extend(s.as_bytes());
+                shared.dev.console.extend_from_slice(s.as_bytes());
             }
-            2 => ctx.console_extend(&[self.reg(Reg::A0) as u8]),
+            2 => shared
+                .dev
+                .console
+                .extend_from_slice(&[self.reg(Reg::A0) as u8]),
             3 => {
                 let s = format!("{:#010x}", self.reg(Reg::A0));
-                ctx.console_extend(s.as_bytes());
+                shared.dev.console.extend_from_slice(s.as_bytes());
             }
             _ => {}
         }
@@ -708,9 +644,9 @@ impl Core {
             return Ok(());
         }
         let out = if self.profile {
-            self.exec_one::<ExactTiming, _, true>(shared)
+            self.exec_one::<ExactTiming, true>(shared)
         } else {
-            self.exec_one::<ExactTiming, _, false>(shared)
+            self.exec_one::<ExactTiming, false>(shared)
         };
         self.sync_counters();
         out
@@ -730,9 +666,9 @@ impl Core {
     /// variant of [`Core::exec_one`] and additionally stops with
     /// [`RunStop::Parked`] when the core arrives at an incomplete barrier
     /// round.
-    pub(crate) fn run_while<T: Timing, C: ExecCtx>(
+    pub(crate) fn run_while<T: Timing>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         bound: u64,
         max_cycles: u64,
     ) -> Result<RunStop, TrapCause> {
@@ -740,22 +676,22 @@ impl Core {
         // monomorphisation of the whole loop (see `exec_op` on why the
         // check cannot live inside it).
         if self.profile {
-            self.run_while_p::<T, C, true>(ctx, bound, max_cycles)
+            self.run_while_p::<T, true>(shared, bound, max_cycles)
         } else {
-            self.run_while_p::<T, C, false>(ctx, bound, max_cycles)
+            self.run_while_p::<T, false>(shared, bound, max_cycles)
         }
     }
 
     /// [`Core::run_while`], monomorphised over the profiling flag.
-    fn run_while_p<T: Timing, C: ExecCtx, const PROF: bool>(
+    fn run_while_p<T: Timing, const PROF: bool>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         bound: u64,
         max_cycles: u64,
     ) -> Result<RunStop, TrapCause> {
         let stop = bound.min(max_cycles);
-        let sb = ctx.superblocks_enabled();
-        let kern = !T::EXACT && ctx.kernels_enabled();
+        let sb = shared.superblocks;
+        let kern = !T::EXACT && shared.kernels && !shared.code.kernels.is_empty();
         let mut sbuf = [PreInst::EMPTY; MAX_SB];
         let run = loop {
             if self.halted {
@@ -777,17 +713,17 @@ impl Core {
             // Kernel spans outrank superblocks at their entry pc: a batch
             // swallows whole loop iterations where a block stops at the
             // back-edge. Declines fall through to the block/single paths.
-            if kern && self.try_kernel::<T, _>(ctx, stop) {
+            if kern && self.try_kernel::<T>(shared, stop) {
                 continue;
             }
             if sb {
-                match self.try_superblock::<T, _, PROF>(ctx, &mut sbuf, stop) {
+                match self.try_superblock::<T, PROF>(shared, &mut sbuf, stop) {
                     Ok(true) => continue,
                     Ok(false) => {}
                     Err(cause) => break Err(cause),
                 }
             }
-            if let Err(cause) = self.exec_one::<T, _, PROF>(ctx) {
+            if let Err(cause) = self.exec_one::<T, PROF>(shared) {
                 break Err(cause);
             }
         };
@@ -811,9 +747,9 @@ impl Core {
     ///   state is touched. Barrier arrivals that leave the round
     ///   incomplete park the core.
     #[inline(always)]
-    pub(crate) fn exec_one<T: Timing, C: ExecCtx, const PROF: bool>(
+    pub(crate) fn exec_one<T: Timing, const PROF: bool>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
     ) -> Result<(), TrapCause> {
         let pc = self.pc;
         // Fault-injection trigger: instret is schedule-invariant per core,
@@ -830,9 +766,9 @@ impl Core {
         }
         // Predecoded fetch: direct table index; decode cost only on the
         // first execution of a (possibly store-invalidated) slot.
-        let pre = ctx.fetch(pc);
+        let pre = shared.code.fetch(pc, &shared.mem);
         let mut exit = BlockExit::None;
-        let next_pc = self.exec_op::<T, _, false, PROF>(ctx, &pre, pc, 0, 0, &mut exit)?;
+        let next_pc = self.exec_op::<T, false, PROF>(shared, &pre, pc, 0, 0, &mut exit)?;
         self.pc = next_pc;
         Ok(())
     }
@@ -867,9 +803,9 @@ impl Core {
     /// `PreInst` never round-trips through a stack temporary.
     #[inline(always)]
     #[allow(clippy::too_many_lines)]
-    fn exec_op<T: Timing, C: ExecCtx, const BLOCK: bool, const PROF: bool>(
+    fn exec_op<T: Timing, const BLOCK: bool, const PROF: bool>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         pre: &PreInst,
         pc: u32,
         blk_base: u32,
@@ -909,14 +845,14 @@ impl Core {
                                 extra += Self::icache_refill(
                                     self.time,
                                     self.icache.config().line_words() as u64,
-                                    ctx,
+                                    shared,
                                 );
                             }
                         }
                     }
                 }
                 SlotState::Scratch => {}
-                _ => return Err(Self::fetch_trap(state, pc, ctx)),
+                _ => return Err(Self::fetch_trap(state, pc, shared)),
             }
         }
 
@@ -1010,7 +946,7 @@ impl Core {
                     *exit = BlockExit::Defer;
                     return Ok(pc);
                 }
-                let (value, mem_extra) = self.load::<T, _>(ctx, addr, lop, pc)?;
+                let (value, mem_extra) = self.load::<T>(shared, addr, lop, pc)?;
                 self.set_reg(rd, value);
                 extra += mem_extra;
                 kind = PrevKind::Load;
@@ -1029,7 +965,7 @@ impl Core {
                     *exit = BlockExit::Defer;
                     return Ok(pc);
                 }
-                let (mem_extra, eff) = self.store::<T, _>(ctx, addr, self.reg(rs2), sop, pc)?;
+                let (mem_extra, eff) = self.store::<T>(shared, addr, self.reg(rs2), sop, pc)?;
                 extra += mem_extra;
                 effect = eff;
                 if BLOCK {
@@ -1133,7 +1069,7 @@ impl Core {
             MicroOp::Div => {
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
-                    let lat = ctx.div_latency();
+                    let lat = shared.div_latency;
                     extra += lat;
                     self.counters.div_stall_cycles += lat;
                 }
@@ -1149,7 +1085,7 @@ impl Core {
             MicroOp::Divu => {
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
-                    let lat = ctx.div_latency();
+                    let lat = shared.div_latency;
                     extra += lat;
                     self.counters.div_stall_cycles += lat;
                 }
@@ -1158,7 +1094,7 @@ impl Core {
             MicroOp::Rem => {
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
-                    let lat = ctx.div_latency();
+                    let lat = shared.div_latency;
                     extra += lat;
                     self.counters.div_stall_cycles += lat;
                 }
@@ -1174,14 +1110,14 @@ impl Core {
             MicroOp::Remu => {
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
-                    let lat = ctx.div_latency();
+                    let lat = shared.div_latency;
                     extra += lat;
                     self.counters.div_stall_cycles += lat;
                 }
                 self.set_reg(rd, if b == 0 { a } else { a % b });
             }
             MicroOp::Fence => {}
-            MicroOp::Ecall => self.ecall(ctx),
+            MicroOp::Ecall => self.ecall(shared),
             MicroOp::Ebreak => self.halted = true,
             MicroOp::Csr => {
                 let old = self.csr_read(imm as u16);
@@ -1191,13 +1127,13 @@ impl Core {
                 let ok = self.nmregs.exec_nmldl(self.reg(rs1), self.reg(rs2));
                 self.set_reg(rd, ok);
                 self.counters.nmldl += 1;
-                kind = self.nm_kind(ctx);
+                kind = self.nm_kind(shared);
             }
             MicroOp::Nmldh => {
                 let ok = self.nmregs.exec_nmldh(self.reg(rs1));
                 self.set_reg(rd, ok);
                 self.counters.nmldh += 1;
-                kind = self.nm_kind(ctx);
+                kind = self.nm_kind(shared);
             }
             MicroOp::Nmpn => {
                 let vu = self.reg(rs1);
@@ -1211,12 +1147,12 @@ impl Core {
                     return Ok(pc);
                 }
                 let out = NpUnit::update(&self.nmregs, vu, isyn);
-                let (mem_extra, eff) = self.store::<T, _>(ctx, addr, out.vu, StoreOp::Sw, pc)?;
+                let (mem_extra, eff) = self.store::<T>(shared, addr, out.vu, StoreOp::Sw, pc)?;
                 extra += mem_extra;
                 effect = eff;
                 self.set_reg(rd, u32::from(out.spike));
                 self.counters.nmpn += 1;
-                kind = self.nm_kind(ctx);
+                kind = self.nm_kind(shared);
                 if BLOCK {
                     Self::flag_store_tail(addr, pc, blk_base, blk_len, exit);
                 }
@@ -1294,9 +1230,9 @@ impl Core {
     /// block would also have run under single-stepping, or an
     /// MMIO-classified access as the block's very first op.
     #[inline]
-    pub(crate) fn try_superblock<T: Timing, C: ExecCtx, const PROF: bool>(
+    pub(crate) fn try_superblock<T: Timing, const PROF: bool>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         sbuf: &mut [PreInst; MAX_SB],
         stop: u64,
     ) -> Result<bool, TrapCause> {
@@ -1305,7 +1241,7 @@ impl Core {
             // Let the single-step path raise the BadFetch.
             return Ok(false);
         }
-        let (len, est) = ctx.superblock(pc, sbuf);
+        let (len, est) = shared.code.superblock(pc, sbuf);
         if len < 2 {
             return Ok(false);
         }
@@ -1321,13 +1257,13 @@ impl Core {
         // are >= 1 cycle each, so it conservatively bounds the block's
         // clock advance under both Unit and Estimated policies. If the
         // whole block fits under `stop`, single-stepping would have run
-        // every op too — identical stop points at every quantum size and
-        // host-thread count. The exact policy re-checks per op instead
+        // every op too — identical stop points at every quantum size.
+        // The exact policy re-checks per op instead
         // (stall costs are data-dependent).
         if !T::EXACT && self.time + u64::from(est) > stop {
             return Ok(false);
         }
-        self.exec_block::<T, _, PROF>(ctx, &sbuf[..len as usize], pc, stop)
+        self.exec_block::<T, PROF>(shared, &sbuf[..len as usize], pc, stop)
     }
 
     /// Flag a retiring store that lands in its own block's not-yet-executed
@@ -1356,16 +1292,14 @@ impl Core {
     ///   re-probes for real and charges the refill);
     /// * an MMIO-classified access ([`BlockExit::Defer`], signalled
     ///   in-arm before the access and before any state moves: devices
-    ///   read the live clock, ROI markers snapshot the counters, and the
-    ///   host-parallel scheduler's shared-op pre-check must see
-    ///   interactive registers first — the caller single-steps the access
-    ///   with a flushed clock);
+    ///   read the live clock and ROI markers snapshot the counters — the
+    ///   caller single-steps the access with a flushed clock);
     /// * a store landing in the block's not-yet-executed tail
     ///   ([`BlockExit::StoreTail`]: the buffered copy is stale; re-entry
     ///   re-forms the block).
-    fn exec_block<T: Timing, C: ExecCtx, const PROF: bool>(
+    fn exec_block<T: Timing, const PROF: bool>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         ops: &[PreInst],
         base_pc: u32,
         stop: u64,
@@ -1408,7 +1342,7 @@ impl Core {
                 seg_hits += 1;
             }
             let mut exit = BlockExit::None;
-            match self.exec_op::<T, _, true, PROF>(ctx, pre, pc, base_pc, len as u32, &mut exit) {
+            match self.exec_op::<T, true, PROF>(shared, pre, pc, base_pc, len as u32, &mut exit) {
                 Ok(next) => {
                     if exit != BlockExit::None {
                         if exit == BlockExit::Defer {
@@ -1493,7 +1427,7 @@ impl Core {
             MmioEffect::Halt => self.halted = true,
             MmioEffect::BarrierWait => {
                 // Exact scheduling simulates the guest's spin loop; the
-                // relaxed schedulers deschedule the core instead.
+                // relaxed scheduler deschedules the core instead.
                 if !T::EXACT {
                     self.parked = true;
                 }

@@ -22,8 +22,7 @@
 //! directly, exactly like [`Core::exec_block`](crate::cpu) runs a fused
 //! superblock; what makes that sound is the same rule superblocks use:
 //! any op the batch cannot run — an MMIO access (devices read the live
-//! clock and the host-parallel scheduler pre-screens interactive
-//! registers), a misaligned or unmapped address (the interpreter raises
+//! clock), a misaligned or unmapped address (the interpreter raises
 //! the trap), or a store into the span's own code words from the *next*
 //! op on (the decoded trace is stale) — **defers**: the batch ends with
 //! `pc` parked on the first op that did not retire and with every retired
@@ -63,9 +62,10 @@ use izhi_fixed::Q15_16;
 use izhi_isa::inst::{LoadOp, StoreOp};
 
 use crate::counters::{self, OpClass};
-use crate::cpu::{Core, ExecCtx, Timing};
-use crate::mem::layout;
-use crate::predecode::{CodeMem, CodeTable, MicroOp, PreInst, SlotState, NO_DEST};
+use crate::cpu::{Core, Timing};
+use crate::mem::{layout, read_slice, write_slice, MainMemory};
+use crate::predecode::{CodeTable, MicroOp, PreInst, SlotState, NO_DEST};
+use crate::system::Shared;
 
 /// Maximum decoded length of a kernel span in micro-ops (the base-fixed
 /// phase-B body is ~84 ops; 192 leaves generous headroom while keeping the
@@ -80,9 +80,8 @@ pub const MAX_KERNEL_SPANS: usize = 8;
 pub enum SpanState {
     /// Verified against the code words; eligible for batch execution.
     Ready,
-    /// A guest store landed inside the span (or the span was adopted
-    /// across a run boundary): the fingerprint must re-verify against the
-    /// live code words before the next batch.
+    /// A guest store landed inside the span: the fingerprint must
+    /// re-verify against the live code words before the next batch.
     Dirty,
     /// The code under the span changed (or re-verification failed): the
     /// span is permanently disabled — the interpreter owns this pc range.
@@ -300,27 +299,6 @@ impl SpanTable {
         self.spans[idx as usize].state = state;
     }
 
-    /// Move the spans out (the host-parallel scheduler rebuilds its shared
-    /// [`CodeTable`] after a run; the spans survive the rebuild).
-    pub fn take(&mut self) -> Vec<KernelSpan> {
-        self.lo = u32::MAX;
-        self.len = 0;
-        std::mem::take(&mut self.spans)
-    }
-
-    /// Re-install spans taken from a previous table. Every non-rejected
-    /// span comes back [`SpanState::Dirty`]: the new table has not
-    /// observed the stores of the interim, so the fingerprint must
-    /// re-verify before the next batch.
-    pub fn adopt(&mut self, spans: Vec<KernelSpan>) {
-        for mut s in spans {
-            if s.state != SpanState::Rejected {
-                s.state = SpanState::Dirty;
-            }
-            self.insert(s);
-        }
-    }
-
     fn insert(&mut self, span: KernelSpan) {
         let (entry, exit) = (span.entry, span.exit);
         self.spans.push(span);
@@ -431,9 +409,9 @@ fn match_native(trace: &[PreInst], entry: u32) -> Option<NativeShape> {
 /// span is stored [`SpanState::Ready`] in the table carried by `code`.
 /// Rejection leaves `code` unchanged apart from warmed decode slots and
 /// only costs performance: the interpreter runs the loop as before.
-pub fn register_kernel_span<M: CodeMem>(
+pub fn register_kernel_span(
     code: &mut CodeTable,
-    mem: &M,
+    mem: &MainMemory,
     entry: u32,
     variant: KernelVariant,
 ) -> Result<(), KernelReject> {
@@ -456,7 +434,7 @@ pub fn register_kernel_span<M: CodeMem>(
         if pc >= code.sdram_limit() {
             return Err(KernelReject::OutOfWindow);
         }
-        let word = mem.code_word(pc).ok_or(KernelReject::Undecodable)?;
+        let word = mem.read_u32(pc).ok_or(KernelReject::Undecodable)?;
         let pre = code.fetch(pc, mem);
         if pre.state != SlotState::Sdram {
             return Err(KernelReject::Undecodable);
@@ -518,20 +496,20 @@ impl Core {
     /// whether at least one iteration committed (the caller re-enters its
     /// scheduling loop). Only instantiated by the relaxed interpreters.
     #[inline]
-    pub(crate) fn try_kernel<T: Timing, C: ExecCtx>(&mut self, ctx: &mut C, stop: u64) -> bool {
+    pub(crate) fn try_kernel<T: Timing>(&mut self, shared: &mut Shared, stop: u64) -> bool {
         debug_assert!(!T::EXACT);
-        let Some(hdr) = ctx.kernel_match(self.pc) else {
+        let Some(hdr) = shared.code.kernels.lookup(self.pc) else {
             return false;
         };
-        self.kernel_enter::<T, C>(ctx, hdr, stop)
+        self.kernel_enter::<T>(shared, hdr, stop)
     }
 
     /// Out-of-line entry: state check / re-verification, trace copy and
     /// the batch loop (kept off the per-op dispatch path, which only pays
     /// the entry-pc probe above).
-    fn kernel_enter<T: Timing, C: ExecCtx>(
+    fn kernel_enter<T: Timing>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         hdr: KernelHeader,
         stop: u64,
     ) -> bool {
@@ -539,28 +517,28 @@ impl Core {
             SpanState::Rejected => return false,
             SpanState::Ready => {}
             SpanState::Dirty => {
-                // A store landed inside the span (or it crossed a run
-                // boundary): the decoded trace is only exact if the raw
-                // words still hash to the registration fingerprint.
+                // A store landed inside the span: the decoded trace is
+                // only exact if the raw words still hash to the
+                // registration fingerprint.
                 let mut fp = FNV_OFFSET;
                 let mut pc = hdr.entry;
                 while pc < hdr.exit {
-                    let Some(word) = ctx.code_word(pc) else {
-                        ctx.kernel_set_state(hdr.idx, SpanState::Rejected);
+                    let Some(word) = shared.mem.read_u32(pc) else {
+                        shared.code.kernels.set_state(hdr.idx, SpanState::Rejected);
                         return false;
                     };
                     fp = fnv_word(fp, word);
                     pc += 4;
                 }
                 if fp != hdr.fp {
-                    ctx.kernel_set_state(hdr.idx, SpanState::Rejected);
+                    shared.code.kernels.set_state(hdr.idx, SpanState::Rejected);
                     return false;
                 }
-                ctx.kernel_set_state(hdr.idx, SpanState::Ready);
+                shared.code.kernels.set_state(hdr.idx, SpanState::Ready);
             }
         }
         let mut buf = [PreInst::EMPTY; MAX_KERNEL_OPS];
-        let len = ctx.kernel_copy(hdr.idx, &mut buf);
+        let len = shared.code.kernels.copy_trace(hdr.idx, &mut buf);
         debug_assert_eq!(len as u32, hdr.len);
         // Native tier first: a matched shape whose screens pass runs as
         // straight host code; otherwise the generic batch loop takes the
@@ -568,11 +546,11 @@ impl Core {
         // the registration words, so the registration-time match is still
         // exact.)
         if let Some(shape) = hdr.native {
-            if let Some(ran) = self.kernel_native::<T, C>(ctx, &hdr, &buf[..len], shape, stop) {
+            if let Some(ran) = self.kernel_native::<T>(shared, &hdr, &buf[..len], shape, stop) {
                 return ran;
             }
         }
-        self.kernel_batch::<T, C>(ctx, &hdr, &buf[..len], stop)
+        self.kernel_batch::<T>(shared, &hdr, &buf[..len], stop)
     }
 
     /// Closed-form execution of a matched [`NativeShape`] span.
@@ -590,9 +568,16 @@ impl Core {
     /// `None` when any screen fails (the generic batch loop, which defers
     /// per-op, takes over) or `Some(ran)` when the native tier owned the
     /// dispatch.
-    fn kernel_native<T: Timing, C: ExecCtx>(
+    ///
+    /// Kept out of line, like `kernel_batch`: each batch loop gets its own
+    /// register allocation instead of sharing one with the entry checks.
+    /// Inlined into `kernel_enter`, the relaxed scenarios ran 2–8 % slower
+    /// (release build, 2-vCPU x86-64 host). The call is paid once per
+    /// batch.
+    #[inline(never)]
+    fn kernel_native<T: Timing>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         hdr: &KernelHeader,
         trace: &[PreInst],
         shape: NativeShape,
@@ -631,8 +616,8 @@ impl Core {
         if !w0.is_multiple_of(2) || !s0.is_multiple_of(4) {
             return None;
         }
-        let scratch_size = ctx.scratch_size() as u64;
-        let sdram_size = ctx.sdram_size() as u64;
+        let scratch_size = shared.mem.scratch_size() as u64;
+        let sdram_size = shared.mem.sdram_size() as u64;
         // Load sweep [w0, w0 + 2k): wholly scratch or wholly SDRAM.
         let w_scr = w0.wrapping_sub(layout::SCRATCH_BASE);
         let w_in_scratch = u64::from(w_scr) < scratch_size;
@@ -669,14 +654,14 @@ impl Core {
             // Same per-iteration access order as the guest: lh, lw, sw —
             // so even overlapping sweeps behave identically.
             let raw_w = if w_in_scratch {
-                ctx.read_scratch(w_off, LoadOp::Lh)
+                read_slice(shared.mem.scratch_bytes(), w_off, LoadOp::Lh)
             } else {
-                ctx.read_sdram(w_off, LoadOp::Lh)
+                read_slice(shared.mem.sdram_bytes(), w_off, LoadOp::Lh)
             };
             let raw_s = if s_in_scratch {
-                ctx.read_scratch(s_off, LoadOp::Lw)
+                read_slice(shared.mem.scratch_bytes(), s_off, LoadOp::Lw)
             } else {
-                ctx.read_sdram(s_off, LoadOp::Lw)
+                read_slice(shared.mem.sdram_bytes(), s_off, LoadOp::Lw)
             };
             let (Some(raw_w), Some(raw_s)) = (raw_w, raw_s) else {
                 debug_assert!(false, "screened native access failed");
@@ -685,12 +670,12 @@ impl Core {
             last_w = (raw_w as u16 as i16 as i32 as u32) << 8;
             last_s = raw_s.wrapping_add(last_w);
             let ok = if s_in_scratch {
-                ctx.write_scratch(s_off, last_s, StoreOp::Sw)
+                write_slice(shared.mem.scratch_bytes_mut(), s_off, last_s, StoreOp::Sw)
             } else {
-                ctx.write_sdram(s_off, last_s, StoreOp::Sw)
+                write_slice(shared.mem.sdram_bytes_mut(), s_off, last_s, StoreOp::Sw)
             };
             debug_assert!(ok, "screened native store failed");
-            ctx.invalidate_store(s_addr);
+            shared.code.invalidate_store(s_addr);
             w_off += 2;
             s_off += 4;
             s_addr = s_addr.wrapping_add(4);
@@ -727,9 +712,10 @@ impl Core {
     /// cannot run defers with `pc` parked on the first unretired op; see
     /// the module docs for the identity argument.
     #[allow(clippy::too_many_lines)]
-    fn kernel_batch<T: Timing, C: ExecCtx>(
+    #[inline(never)]
+    fn kernel_batch<T: Timing>(
         &mut self,
-        ctx: &mut C,
+        shared: &mut Shared,
         hdr: &KernelHeader,
         trace: &[PreInst],
         stop: u64,
@@ -745,8 +731,8 @@ impl Core {
         let full_len = len as u64;
         let fault_at = self.fault.map_or(u64::MAX, |(at, _)| at);
         let span_bytes = hdr.exit - hdr.entry;
-        let scratch_size = ctx.scratch_size();
-        let sdram_size = ctx.sdram_size();
+        let scratch_size = shared.mem.scratch_size();
+        let sdram_size = shared.mem.sdram_size();
         let prof_on = self.profile;
 
         let mut regs = self.regs;
@@ -855,9 +841,9 @@ impl Core {
                             // Misaligned: the interpreter raises the trap.
                             None
                         } else if scratch_off < scratch_size {
-                            ctx.read_scratch(scratch_off as usize, lop)
+                            read_slice(shared.mem.scratch_bytes(), scratch_off as usize, lop)
                         } else if addr < sdram_size {
-                            ctx.read_sdram(addr as usize, lop)
+                            read_slice(shared.mem.sdram_bytes(), addr as usize, lop)
                         } else {
                             // MMIO loads interact with live devices;
                             // out-of-range loads trap. Both belong to the
@@ -896,7 +882,12 @@ impl Core {
                                 next_pc = hdr.entry + ((idx as u32) << 2);
                                 break 'batch;
                             }
-                            let ok = ctx.write_scratch(scratch_off as usize, regs[rs2], sop);
+                            let ok = write_slice(
+                                shared.mem.scratch_bytes_mut(),
+                                scratch_off as usize,
+                                regs[rs2],
+                                sop,
+                            );
                             debug_assert!(ok, "screened batch store failed");
                             own = false;
                         } else if addr < sdram_size {
@@ -904,7 +895,12 @@ impl Core {
                                 next_pc = hdr.entry + ((idx as u32) << 2);
                                 break 'batch;
                             }
-                            let ok = ctx.write_sdram(addr as usize, regs[rs2], sop);
+                            let ok = write_slice(
+                                shared.mem.sdram_bytes_mut(),
+                                addr as usize,
+                                regs[rs2],
+                                sop,
+                            );
                             debug_assert!(ok, "screened batch store failed");
                             own = (addr & !3).wrapping_sub(hdr.entry) < span_bytes;
                         } else {
@@ -915,7 +911,7 @@ impl Core {
                             next_pc = hdr.entry + ((idx as u32) << 2);
                             break 'batch;
                         }
-                        ctx.invalidate_store(addr);
+                        shared.code.invalidate_store(addr);
                         stores += 1;
                         retire!(op);
                         if own {
@@ -1102,12 +1098,22 @@ impl Core {
                         // The store retires before the spike writeback,
                         // exactly as the interpreter orders it.
                         let ok = if scratch_off < scratch_size {
-                            ctx.write_scratch(scratch_off as usize, out.vu, StoreOp::Sw)
+                            write_slice(
+                                shared.mem.scratch_bytes_mut(),
+                                scratch_off as usize,
+                                out.vu,
+                                StoreOp::Sw,
+                            )
                         } else {
-                            ctx.write_sdram(addr as usize, out.vu, StoreOp::Sw)
+                            write_slice(
+                                shared.mem.sdram_bytes_mut(),
+                                addr as usize,
+                                out.vu,
+                                StoreOp::Sw,
+                            )
                         };
                         debug_assert!(ok, "screened batch store failed");
-                        ctx.invalidate_store(addr);
+                        shared.code.invalidate_store(addr);
                         stores += 1;
                         regs[rd] = u32::from(out.spike);
                         regs[0] = 0;
@@ -1327,21 +1333,5 @@ mod tests {
         // A store into the span marks it Dirty.
         code.invalidate_store(8);
         assert_eq!(code.kernel_spans()[0].state, SpanState::Dirty);
-    }
-
-    #[test]
-    fn take_and_adopt_round_trip_marks_spans_dirty() {
-        let (mut code, r) = try_register(&counted_loop(), 0);
-        assert_eq!(r, Ok(()));
-        let spans = code.take_kernel_spans();
-        assert_eq!(spans.len(), 1);
-        assert!(code.kernel_spans().is_empty());
-        let mut fresh = CodeTable::new(64 * 1024, 4096);
-        fresh.adopt_kernel_spans(spans);
-        assert_eq!(fresh.kernel_spans()[0].state, SpanState::Dirty);
-        // The covering range survives the adoption: a store into the span
-        // still reaches it (idempotently — it is already Dirty).
-        fresh.invalidate_store(4);
-        assert_eq!(fresh.kernel_spans()[0].state, SpanState::Dirty);
     }
 }

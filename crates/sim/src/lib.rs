@@ -37,11 +37,7 @@
 //! costs (`Estimated`, [`counters::CostTable`]) so relaxed rows carry a
 //! defensible simulated-time figure — with architectural results
 //! unchanged for guests that synchronise through the barrier/mutex
-//! devices. The
-//! host-parallel variant ([`SchedMode::RelaxedParallel`], [`parallel`])
-//! runs those quanta on host worker threads against a sharded memory view
-//! while staying bit-identical to the single-threaded relaxed schedule at
-//! every host-thread count.
+//! devices.
 //!
 //! ## Example
 //!
@@ -73,7 +69,6 @@ pub mod cpu;
 pub mod kernel;
 pub mod mem;
 pub mod mmio;
-pub mod parallel;
 pub mod predecode;
 pub mod system;
 
@@ -84,6 +79,5 @@ pub use cpu::{Core, TrapCause};
 pub use kernel::{register_kernel_span, KernelReject, KernelSpan, KernelVariant, SpanState};
 pub use mem::{layout, MainMemory};
 pub use mmio::{FaultKind, FaultPlan, FaultSpec, SharedDevices, StimEvent, StimPlan};
-pub use parallel::resolve_host_threads;
-pub use predecode::{CodeMem, CodeTable, PreInst, SlotState};
+pub use predecode::{CodeTable, PreInst, SlotState};
 pub use system::{RunExit, SchedMode, SimError, System, SystemConfig, TimingModel};

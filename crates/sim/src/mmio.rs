@@ -145,23 +145,6 @@ pub enum MmioEffect {
     BarrierWait,
 }
 
-/// `true` when an MMIO access at `offset` is **shared-interactive**: its
-/// result or effect depends on other cores' device traffic (mutex
-/// try-acquire/release, barrier generation reads and arrivals, the one
-/// shared RNG stream). The host-parallel scheduler must execute these in
-/// hart order against the real device block; everything else is either
-/// pure per-core (core id, core count, own cycle counter, halt, ROI) or
-/// append-only (console, spike log, progress) and safe to answer/buffer
-/// core-locally. Keep this in sync with [`SharedDevices::read`]/
-/// [`SharedDevices::write`] when adding registers.
-#[inline]
-pub(crate) fn is_interactive(offset: u32, write: bool) -> bool {
-    matches!(
-        offset,
-        layout::MMIO_MUTEX | layout::MMIO_BARRIER | layout::MMIO_STIM
-    ) || (!write && offset == layout::MMIO_RAND)
-}
-
 /// Shared device state.
 #[derive(Debug, Clone)]
 pub struct SharedDevices {
@@ -403,36 +386,6 @@ mod tests {
         // A single-core barrier releases on every arrival.
         let mut solo = SharedDevices::new(1, 1);
         assert_eq!(solo.write(0, MMIO_BARRIER, 0), MmioEffect::None);
-    }
-
-    #[test]
-    fn interactive_classification_covers_the_shared_registers() {
-        // Reads whose value depends on other cores' traffic, plus the
-        // stimulus port (stateful on the real device block only — the
-        // buffered per-core shim cannot answer it):
-        for off in [MMIO_MUTEX, MMIO_BARRIER, MMIO_RAND, MMIO_STIM] {
-            assert!(is_interactive(off, false), "read {off:#x}");
-        }
-        // Writes with cross-core effects or device-side state:
-        for off in [MMIO_MUTEX, MMIO_BARRIER, MMIO_STIM] {
-            assert!(is_interactive(off, true), "write {off:#x}");
-        }
-        // Everything else is core-local or append-only.
-        for off in [
-            MMIO_CONSOLE,
-            MMIO_COREID,
-            MMIO_NCORES,
-            MMIO_CYCLE,
-            MMIO_HALT,
-            MMIO_SPIKE_LOG,
-            MMIO_ROI,
-            MMIO_PROGRESS,
-        ] {
-            assert!(!is_interactive(off, true), "write {off:#x}");
-        }
-        for off in [MMIO_CONSOLE, MMIO_COREID, MMIO_NCORES, MMIO_CYCLE] {
-            assert!(!is_interactive(off, false), "read {off:#x}");
-        }
     }
 
     #[test]

@@ -48,26 +48,6 @@ use crate::counters::CostTable;
 use crate::kernel::{KernelSpan, SpanTable};
 use crate::mem::{layout, MainMemory};
 
-/// Word-granular read access to guest memory, as the decode paths need it.
-///
-/// [`CodeTable`] is a pure cache over the bytes actually resident in RAM;
-/// abstracting the word read lets the same table logic run against
-/// [`MainMemory`] (the exact and relaxed schedulers) *and* against the
-/// raw sharded RAM view the host-parallel scheduler hands each worker
-/// thread (which cannot hold a `&MainMemory` while other threads write
-/// disjoint guest addresses).
-pub trait CodeMem {
-    /// Read the aligned 32-bit word at `addr`; `None` if unmapped.
-    fn code_word(&self, addr: u32) -> Option<u32>;
-}
-
-impl CodeMem for MainMemory {
-    #[inline]
-    fn code_word(&self, addr: u32) -> Option<u32> {
-        self.read_u32(addr)
-    }
-}
-
 /// Decode state of one 4-byte code slot — doubles as the region class of
 /// a successfully fetched slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,9 +276,7 @@ const GROW_BYTES: u32 = 64 * 1024;
 /// store-invalidation backscan and the per-entry stack copy stay cheap.
 pub const MAX_SB: usize = 32;
 
-/// The per-system predecode tables (shared by all cores under the exact
-/// and relaxed schedulers; the host-parallel scheduler clones one shard
-/// per core — the table is a pure cache, so divergent shards stay correct).
+/// The per-system predecode tables, shared by all cores.
 ///
 /// Alongside the per-slot stream the table carries the **superblock
 /// index**: `sb_len[x]` is the length of the straight-line fused run
@@ -323,8 +301,8 @@ pub struct CodeTable {
     sdram_cap: u32,
     scratch_size: u32,
     /// Registered kernel spans (see [`crate::kernel`]). Rides the table's
-    /// clones into run templates and per-core shards, and shares the
-    /// store-to-code guard below.
+    /// clones into run templates, and shares the store-to-code guard
+    /// below.
     pub(crate) kernels: SpanTable,
 }
 
@@ -351,20 +329,6 @@ impl CodeTable {
     /// The registered kernel spans (inspection/tests).
     pub fn kernel_spans(&self) -> &[KernelSpan] {
         self.kernels.spans()
-    }
-
-    /// Move the kernel spans out of this table (see
-    /// [`SpanTable::take`]); used when a fresh table replaces this one
-    /// across a run boundary.
-    pub fn take_kernel_spans(&mut self) -> Vec<KernelSpan> {
-        self.kernels.take()
-    }
-
-    /// Re-install spans taken from a previous table; every surviving span
-    /// comes back [`crate::kernel::SpanState::Dirty`] and must re-verify
-    /// its fingerprint before the next batch (see [`SpanTable::adopt`]).
-    pub fn adopt_kernel_spans(&mut self, spans: Vec<KernelSpan>) {
-        self.kernels.adopt(spans);
     }
 
     fn lower(pc: u32, word: u32, in_scratch: bool) -> PreInst {
@@ -498,7 +462,7 @@ impl CodeTable {
     /// returned slot's `state` is the region class (or `Illegal` /
     /// `OutOfRange`).
     #[inline]
-    pub fn fetch<M: CodeMem>(&mut self, pc: u32, mem: &M) -> PreInst {
+    pub fn fetch(&mut self, pc: u32, mem: &MainMemory) -> PreInst {
         if let Some(slot) = self.sdram.get((pc >> 2) as usize) {
             if slot.state != SlotState::Stale {
                 return *slot;
@@ -517,7 +481,7 @@ impl CodeTable {
     /// Materialise/decode path: grows the owning window if needed, lowers
     /// the word, and caches it.
     #[cold]
-    fn fetch_slow<M: CodeMem>(&mut self, pc: u32, mem: &M) -> PreInst {
+    fn fetch_slow(&mut self, pc: u32, mem: &MainMemory) -> PreInst {
         let (in_scratch, idx) = if pc < self.sdram_cap {
             let needed = (pc.saturating_add(GROW_BYTES)).min(self.sdram_cap);
             if (needed / 4) as usize > self.sdram.len() {
@@ -537,7 +501,7 @@ impl CodeTable {
                 return PreInst::OUT_OF_RANGE;
             }
         };
-        let Some(word) = mem.code_word(pc) else {
+        let Some(word) = mem.read_u32(pc) else {
             return PreInst::OUT_OF_RANGE;
         };
         let table = if in_scratch {

@@ -2,17 +2,14 @@
 //! event-driven run loop.
 
 use izhi_isa::asm::Program;
-use izhi_isa::inst::{LoadOp, StoreOp};
 
 use crate::bus::{BusArbiter, BusTimings};
 use crate::cache::{Cache, CacheConfig};
 use crate::counters::Metrics;
-use crate::cpu::{
-    Core, EstimatedTiming, ExactTiming, ExecCtx, RunStop, Timing, TrapCause, UnitTiming,
-};
-use crate::mem::{layout, read_slice, write_slice, MainMemory};
-use crate::mmio::{FaultPlan, MmioEffect, SharedDevices, StimPlan};
-use crate::predecode::{CodeTable, PreInst};
+use crate::cpu::{Core, EstimatedTiming, ExactTiming, RunStop, Timing, TrapCause, UnitTiming};
+use crate::mem::{layout, MainMemory};
+use crate::mmio::{FaultPlan, SharedDevices, StimPlan};
+use crate::predecode::CodeTable;
 
 use std::time::{Duration, Instant};
 
@@ -24,7 +21,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimingModel {
     /// Exactly one cycle per retired instruction — the determinism
-    /// baseline the relaxed schedulers have always used. Cycle counts
+    /// baseline the relaxed scheduler has always used. Cycle counts
     /// equal retired-instruction counts by construction and are **not**
     /// comparable to exact-mode cycles.
     #[default]
@@ -32,9 +29,8 @@ pub enum TimingModel {
     /// Static per-op-class costs from
     /// [`CostTable::DEFAULT`](crate::counters::CostTable::DEFAULT): a
     /// first-order collapse of the exact model (ALU/branch/load/store/
-    /// mul/div/CSR/NPU classes) with no shared mutable state, so
-    /// [`SchedMode::RelaxedParallel`] stays race-free and bit-identical
-    /// across host-thread counts. Cycle counts approximate exact-mode
+    /// mul/div/CSR/NPU classes) with no shared mutable state. Cycle
+    /// counts approximate exact-mode
     /// cycles (the perf baseline reports the per-scenario accuracy ratio
     /// and CI bounds it).
     Estimated,
@@ -82,34 +78,6 @@ pub enum SchedMode {
         /// Relaxed-clock cost model.
         timing: TimingModel,
     },
-    /// Host-parallel relaxed scheduling: the same round-robin quantum
-    /// structure as [`SchedMode::Relaxed`], but each core's quantum
-    /// executes on a host worker thread against a sharded memory view
-    /// (see [`crate::parallel`]). Shared-interactive device traffic
-    /// (mutex, barrier, RNG) is detected before it executes and committed
-    /// in ascending hart order after the threads rendezvous, and each
-    /// core's append-only device output (spike log, console, progress) is
-    /// buffered per core and merged in the same hart order — so a
-    /// `RelaxedParallel` run is **bit-identical to `Relaxed` at the same
-    /// quantum, at every host-thread count**: registers, memory, cycles,
-    /// instret, spike-log order, everything (the `prop_sched_parallel`
-    /// suite pins this). The guest contract is the relaxed one, sharpened:
-    /// cores must confine cross-core memory traffic to barrier/mutex
-    /// synchronisation — within a scheduling round, plain loads/stores of
-    /// other cores' data race on the host.
-    RelaxedParallel {
-        /// Scheduling quantum in relaxed-clock cycles (= instructions
-        /// under `Unit` timing).
-        quantum: u64,
-        /// Number of host worker threads; `0` resolves via the
-        /// `IZHI_HOST_THREADS` environment variable, then host
-        /// parallelism ([`crate::parallel::resolve_host_threads`]).
-        /// Results never depend on this value — only wall time does.
-        host_threads: u32,
-        /// Relaxed-clock cost model (shared with [`SchedMode::Relaxed`]:
-        /// the bit-identity contract holds per timing model).
-        timing: TimingModel,
-    },
 }
 
 impl SchedMode {
@@ -139,9 +107,7 @@ impl SchedMode {
     pub fn timing(&self) -> Option<TimingModel> {
         match *self {
             SchedMode::Exact => None,
-            SchedMode::Relaxed { timing, .. } | SchedMode::RelaxedParallel { timing, .. } => {
-                Some(timing)
-            }
+            SchedMode::Relaxed { timing, .. } => Some(timing),
         }
     }
 
@@ -306,124 +272,6 @@ pub struct Shared {
     pub superblocks: bool,
     /// Kernel-span batch execution enabled ([`SystemConfig::kernels`]).
     pub kernels: bool,
-}
-
-/// The historical execution context: every method inlines to exactly the
-/// field accesses the interpreter made before [`ExecCtx`] existed, so the
-/// exact and single-threaded relaxed schedulers compile to the same hot
-/// loops as before the host-parallel refactor.
-impl ExecCtx for Shared {
-    #[inline(always)]
-    fn fetch(&mut self, pc: u32) -> PreInst {
-        self.code.fetch(pc, &self.mem)
-    }
-
-    #[inline(always)]
-    fn code_word(&self, pc: u32) -> Option<u32> {
-        self.mem.read_u32(pc)
-    }
-
-    #[inline(always)]
-    fn scratch_size(&self) -> u32 {
-        self.mem.scratch_size()
-    }
-
-    #[inline(always)]
-    fn sdram_size(&self) -> u32 {
-        self.mem.sdram_size()
-    }
-
-    #[inline(always)]
-    fn read_scratch(&self, off: usize, op: LoadOp) -> Option<u32> {
-        read_slice(self.mem.scratch_bytes(), off, op)
-    }
-
-    #[inline(always)]
-    fn read_sdram(&self, off: usize, op: LoadOp) -> Option<u32> {
-        read_slice(self.mem.sdram_bytes(), off, op)
-    }
-
-    #[inline(always)]
-    fn write_scratch(&mut self, off: usize, value: u32, op: StoreOp) -> bool {
-        write_slice(self.mem.scratch_bytes_mut(), off, value, op)
-    }
-
-    #[inline(always)]
-    fn write_sdram(&mut self, off: usize, value: u32, op: StoreOp) -> bool {
-        write_slice(self.mem.sdram_bytes_mut(), off, value, op)
-    }
-
-    #[inline(always)]
-    fn invalidate_store(&mut self, addr: u32) {
-        self.code.invalidate_store(addr);
-    }
-
-    #[inline(always)]
-    fn mmio_read(&mut self, core_id: u32, offset: u32, now: u64) -> u32 {
-        self.dev.read(core_id, offset, now)
-    }
-
-    #[inline(always)]
-    fn mmio_write(&mut self, core_id: u32, offset: u32, value: u32) -> MmioEffect {
-        self.dev.write(core_id, offset, value)
-    }
-
-    #[inline(always)]
-    fn console_extend(&mut self, bytes: &[u8]) {
-        self.dev.console.extend_from_slice(bytes);
-    }
-
-    #[inline(always)]
-    fn bus_acquire(&mut self, now: u64, duration: u64) -> u64 {
-        self.bus.acquire(now, duration)
-    }
-
-    #[inline(always)]
-    fn burst(&self, words: u64) -> u64 {
-        self.bus_timings.burst(words)
-    }
-
-    #[inline(always)]
-    fn div_latency(&self) -> u64 {
-        self.div_latency
-    }
-
-    #[inline(always)]
-    fn csr_writeback(&self) -> bool {
-        self.csr_writeback
-    }
-
-    #[inline(always)]
-    fn superblocks_enabled(&self) -> bool {
-        self.superblocks
-    }
-
-    #[inline(always)]
-    fn superblock(&mut self, pc: u32, buf: &mut [PreInst; crate::predecode::MAX_SB]) -> (u32, u32) {
-        self.code.superblock(pc, buf)
-    }
-
-    #[inline(always)]
-    fn kernels_enabled(&self) -> bool {
-        // The span check folds in here so runs that never registered a
-        // span (hand-written guests, tests) skip the per-dispatch probe.
-        self.kernels && !self.code.kernels.is_empty()
-    }
-
-    #[inline(always)]
-    fn kernel_match(&self, pc: u32) -> Option<crate::kernel::KernelHeader> {
-        self.code.kernels.lookup(pc)
-    }
-
-    #[inline(always)]
-    fn kernel_copy(&self, idx: u8, buf: &mut [PreInst]) -> usize {
-        self.code.kernels.copy_trace(idx, buf)
-    }
-
-    #[inline(always)]
-    fn kernel_set_state(&mut self, idx: u8, state: crate::kernel::SpanState) {
-        self.code.kernels.set_state(idx, state);
-    }
 }
 
 /// Simulation failure.
@@ -705,21 +553,6 @@ impl System {
                     self.run_relaxed::<EstimatedTiming>(quantum, max_cycles, wd)?
                 }
             },
-            SchedMode::RelaxedParallel {
-                quantum,
-                host_threads,
-                timing,
-            } => match timing {
-                TimingModel::Unit => {
-                    self.run_relaxed_parallel::<UnitTiming>(quantum, host_threads, max_cycles, wd)?
-                }
-                TimingModel::Estimated => self.run_relaxed_parallel::<EstimatedTiming>(
-                    quantum,
-                    host_threads,
-                    max_cycles,
-                    wd,
-                )?,
-            },
             SchedMode::Exact => match self.cores.len() {
                 1 => self.run_single(max_cycles, wd)?,
                 2 => self.run_exact_fused(max_cycles, wd)?,
@@ -754,7 +587,7 @@ impl System {
                 u64::MAX
             };
             match core
-                .run_while::<ExactTiming, _>(shared, bound, max_cycles)
+                .run_while::<ExactTiming>(shared, bound, max_cycles)
                 .map_err(|cause| SimError::Trap { core: id, cause })?
             {
                 RunStop::Budget => return Err(SimError::Timeout { max_cycles }),
@@ -833,7 +666,7 @@ impl System {
             if c.time > max_cycles {
                 return Err(SimError::Timeout { max_cycles });
             }
-            if let Err(cause) = c.exec_one::<ExactTiming, _, PROF>(shared) {
+            if let Err(cause) = c.exec_one::<ExactTiming, PROF>(shared) {
                 return Err(SimError::Trap { core: id, cause });
             }
             if c.halted() {
@@ -907,7 +740,7 @@ impl System {
                 bound
             };
             let stop = self.cores[i]
-                .run_while::<ExactTiming, _>(&mut self.shared, bound, max_cycles)
+                .run_while::<ExactTiming>(&mut self.shared, bound, max_cycles)
                 .map_err(|cause| SimError::Trap {
                     core: i as u32,
                     cause,
@@ -922,11 +755,7 @@ impl System {
     /// relaxed clock (one cycle per instruction), cores arriving at an
     /// incomplete barrier round park until release, and rotation order is
     /// always ascending hart id — runs are fully deterministic.
-    ///
-    /// This loop is the reference schedule the host-parallel scheduler
-    /// ([`crate::parallel`]) reproduces bit for bit; change the two in
-    /// lockstep (the `prop_sched_parallel` suite pins the equivalence).
-    pub(crate) fn run_relaxed<T: Timing>(
+    fn run_relaxed<T: Timing>(
         &mut self,
         quantum: u64,
         max_cycles: u64,
@@ -959,7 +788,7 @@ impl System {
                 any_ran = true;
                 let bound = core.time.saturating_add(quantum - 1);
                 match core
-                    .run_while::<T, _>(shared, bound, max_cycles)
+                    .run_while::<T>(shared, bound, max_cycles)
                     .map_err(|cause| SimError::Trap {
                         core: i as u32,
                         cause,
@@ -969,7 +798,6 @@ impl System {
                         *parked = Some(shared.dev.barrier_generation());
                     }
                     RunStop::Budget => return Err(SimError::Timeout { max_cycles }),
-                    RunStop::SharedOp => unreachable!("run_while never defers"),
                 }
             }
             if all_halted {
@@ -1684,15 +1512,7 @@ mod tests {
         // unlimited; only the wall-clock watchdog can end the run. Every
         // scheduling mode must surface the same error.
         let prog = Assembler::new().assemble("_start: j _start").unwrap();
-        for sched in [
-            SchedMode::Exact,
-            SchedMode::relaxed(),
-            SchedMode::RelaxedParallel {
-                quantum: SchedMode::DEFAULT_QUANTUM,
-                host_threads: 2,
-                timing: TimingModel::Unit,
-            },
-        ] {
+        for sched in [SchedMode::Exact, SchedMode::relaxed()] {
             for n_cores in [1u32, 2, 3] {
                 let mut sys = System::new(SystemConfig {
                     n_cores,

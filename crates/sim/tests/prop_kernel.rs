@@ -149,7 +149,7 @@ fn run_dense(
 }
 
 /// The sched × timing combinations the scenario battery fans over.
-fn modes() -> [SchedMode; 5] {
+fn modes() -> [SchedMode; 3] {
     let q = SchedMode::DEFAULT_QUANTUM;
     [
         SchedMode::Exact,
@@ -159,16 +159,6 @@ fn modes() -> [SchedMode; 5] {
         },
         SchedMode::Relaxed {
             quantum: q,
-            timing: TimingModel::Estimated,
-        },
-        SchedMode::RelaxedParallel {
-            quantum: q,
-            host_threads: 2,
-            timing: TimingModel::Unit,
-        },
-        SchedMode::RelaxedParallel {
-            quantum: q,
-            host_threads: 2,
             timing: TimingModel::Estimated,
         },
     ]

@@ -9,10 +9,9 @@
 //!
 //! Each core runs its own private copy of the generated body (the prelude
 //! dispatches on the MMIO core id), so self-modifying stores stay
-//! per-core. The parallel scheduler's contract supports per-core
-//! self-modifying code but excludes *cross-core* code patching (a core
-//! racing another core's fetch of the same word), so the generator keeps
-//! every program inside the deterministic envelope by construction.
+//! per-core: the relaxed contract excludes *cross-core* code patching (a
+//! core racing another core's fetch of the same word), so the generator
+//! keeps every program inside the deterministic envelope by construction.
 
 use izhi_isa::encode;
 use izhi_isa::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
@@ -230,7 +229,7 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
 }
 
 /// The sched x timing combinations the scenario battery fans over.
-fn modes() -> [SchedMode; 5] {
+fn modes() -> [SchedMode; 3] {
     let q = SchedMode::DEFAULT_QUANTUM;
     [
         SchedMode::Exact,
@@ -240,16 +239,6 @@ fn modes() -> [SchedMode; 5] {
         },
         SchedMode::Relaxed {
             quantum: q,
-            timing: TimingModel::Estimated,
-        },
-        SchedMode::RelaxedParallel {
-            quantum: q,
-            host_threads: 2,
-            timing: TimingModel::Unit,
-        },
-        SchedMode::RelaxedParallel {
-            quantum: q,
-            host_threads: 2,
             timing: TimingModel::Estimated,
         },
     ]

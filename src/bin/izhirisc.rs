@@ -6,15 +6,11 @@
 //! izhirisc run    <file.s> [options]         assemble + run on the simulator
 //!     --cores N        number of cores (default 1)
 //!     --cycles N       cycle budget (default 100000000)
-//!     --sched MODE     scheduling mode: exact | relaxed | parallel
+//!     --sched MODE     scheduling mode: exact | relaxed
 //!                      (default exact; relaxed = round-robin quanta,
-//!                      1 cycle per instruction, blocking barriers;
-//!                      parallel = relaxed quanta on host worker threads,
-//!                      bit-identical to relaxed at any thread count)
+//!                      1 cycle per instruction, blocking barriers)
 //!     --relaxed        alias for --sched relaxed
-//!     --quantum N      relaxed/parallel scheduling quantum (default 50000)
-//!     --host-threads N worker threads for --sched parallel (implies it;
-//!                      0 = auto via IZHI_HOST_THREADS / host CPUs)
+//!     --quantum N      relaxed scheduling quantum (default 50000)
 //!     --timing T       clock: exact (the exact scheduler's cycle-accurate
 //!                      model), unit (1 cycle/instruction) or estimated
 //!                      (static per-op-class costs); unit/estimated imply
@@ -29,7 +25,7 @@
 //!                      IZHI_KERNELS=0; bit-identical, for A/B checks)
 //! izhirisc scenario list                     list registered scenarios
 //! izhirisc scenario run <name> [options]     build + run a scenario
-//!     --sched MODE --quantum N --host-threads N --timing T    as above
+//!     --sched MODE --quantum N --timing T    as above
 //!     --n N --ticks N --cores N --seed N           scenario parameters
 //!     --shards N       scale-out scenarios: population shards (<= cores)
 //!     --stim-rate N    net8020_stream: injected stimulus events per tick
@@ -89,7 +85,7 @@ fn take_no_kernels(args: &mut Args) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed|parallel] [--relaxed] [--quantum N] [--host-threads N] [--timing exact|unit|estimated] [--trace] [--regs] [--no-superblocks] [--no-kernels]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--shards N] [--stim-rate N] [--quantum N] [--host-threads N] [--quick] [--battery] [--json PATH] [--no-superblocks] [--no-kernels]\n  izhirisc scenario battery [--timing T] [--json PATH] [--no-superblocks] [--no-kernels]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
+        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed] [--relaxed] [--quantum N] [--timing exact|unit|estimated] [--trace] [--regs] [--no-superblocks] [--no-kernels]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--shards N] [--stim-rate N] [--quantum N] [--quick] [--battery] [--json PATH] [--no-superblocks] [--no-kernels]\n  izhirisc scenario battery [--timing T] [--json PATH] [--no-superblocks] [--no-kernels]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
     );
     exit(2);
 }
@@ -164,8 +160,7 @@ fn parse_u32(s: &str) -> u32 {
 }
 
 /// Scheduling-mode selection shared by `run` and `scenario run`:
-/// `--sched exact|relaxed|parallel` is canonical; `--relaxed` and
-/// `--host-threads N` are kept as aliases of the modes they imply.
+/// `--sched exact|relaxed` is canonical; `--relaxed` is kept as an alias.
 /// `--timing exact|unit|estimated` picks the clock: `exact` is the exact
 /// scheduler's cycle-accurate model, `unit`/`estimated` are the relaxed
 /// clocks (and imply the sequential relaxed scheduler when no scheduler
@@ -173,7 +168,6 @@ fn parse_u32(s: &str) -> u32 {
 fn parse_sched(args: &mut Args) -> SchedMode {
     let sched = args.value("--sched");
     let relaxed_alias = args.switch("--relaxed");
-    let host_threads = args.value("--host-threads").map(|s| parse_u32(&s));
     let quantum = args.value("--quantum").map(|s| u64::from(parse_u32(&s)));
     let timing_arg = args.value("--timing");
     if let Some(t) = timing_arg.as_deref() {
@@ -185,37 +179,29 @@ fn parse_sched(args: &mut Args) -> SchedMode {
     let mode = match sched.as_deref() {
         Some("exact") => "exact",
         Some("relaxed") => "relaxed",
-        Some("parallel") => "parallel",
         Some(other) => {
-            eprintln!("unknown --sched mode `{other}` (use exact, relaxed or parallel)");
+            eprintln!("unknown --sched mode `{other}` (use exact|relaxed)");
             exit(2);
         }
-        // Aliases: --host-threads implies the parallel scheduler (it
-        // parallelises the relaxed quantum structure), --relaxed the
-        // sequential relaxed one, and a relaxed clock (--timing
-        // unit|estimated) the sequential relaxed one too.
-        None if host_threads.is_some() => "parallel",
+        // Aliases: --relaxed and a relaxed clock (--timing
+        // unit|estimated) both imply the relaxed scheduler.
         None if relaxed_alias => "relaxed",
         None if matches!(timing_arg.as_deref(), Some("unit" | "estimated")) => "relaxed",
         None => "exact",
     };
     if mode == "exact" && quantum.is_some() {
-        eprintln!("--quantum only applies to relaxed/parallel scheduling");
-        exit(2);
-    }
-    if mode != "parallel" && host_threads.is_some() {
-        eprintln!("--host-threads only applies to --sched parallel");
+        eprintln!("--quantum only applies to relaxed scheduling");
         exit(2);
     }
     let timing = match (mode, timing_arg.as_deref()) {
         // The exact scheduler *is* the cycle-accurate clock.
         ("exact", None | Some("exact")) => TimingModel::Unit, // unused
         ("exact", Some(t)) => {
-            eprintln!("--timing {t} needs a relaxed scheduler (--sched relaxed|parallel)");
+            eprintln!("--timing {t} needs the relaxed scheduler (--sched relaxed)");
             exit(2);
         }
         (_, Some("exact")) => {
-            eprintln!("--timing exact is the exact scheduler's clock; drop --sched/--relaxed/--host-threads");
+            eprintln!("--timing exact is the exact scheduler's clock; drop --sched/--relaxed");
             exit(2);
         }
         (_, None | Some("unit")) => TimingModel::Unit,
@@ -224,11 +210,6 @@ fn parse_sched(args: &mut Args) -> SchedMode {
     let quantum = quantum.unwrap_or(SchedMode::DEFAULT_QUANTUM);
     match mode {
         "relaxed" => SchedMode::Relaxed { quantum, timing },
-        "parallel" => SchedMode::RelaxedParallel {
-            quantum,
-            host_threads: host_threads.unwrap_or(0),
-            timing,
-        },
         _ => SchedMode::Exact,
     }
 }
@@ -320,7 +301,7 @@ fn cmd_run(args: &[String]) {
         usage()
     };
     if trace && sched != SchedMode::Exact {
-        eprintln!("--trace single-steps the exact schedule; drop --sched/--relaxed/--host-threads");
+        eprintln!("--trace single-steps the exact schedule; drop --sched/--relaxed");
         exit(2);
     }
     let src = fs::read_to_string(path).unwrap_or_else(|e| {
@@ -412,7 +393,7 @@ fn cmd_scenario_list() {
         }
     }
     println!(
-        "\nrun one:   izhirisc scenario run <name> [--sched exact|relaxed|parallel] [--battery]\nbattery:   izhirisc scenario battery   (every scenario, quick scale)"
+        "\nrun one:   izhirisc scenario run <name> [--sched exact|relaxed] [--battery]\nbattery:   izhirisc scenario battery   (every scenario, quick scale)"
     );
 }
 
@@ -484,7 +465,7 @@ fn cmd_scenario_run(args: &[String]) {
     // before parse_sched consumes the flags: a --battery run honours an
     // explicit mode (one row set) or an explicit --timing (that clock's
     // row subset) instead of silently fanning over every combination.
-    let sched_given = ["--sched", "--relaxed", "--host-threads", "--quantum"]
+    let sched_given = ["--sched", "--relaxed", "--quantum"]
         .iter()
         .any(|f| args.rest.iter().any(|a| a == f));
     let timing_given = args.rest.iter().any(|a| a == "--timing");
@@ -522,16 +503,16 @@ fn cmd_scenario_run(args: &[String]) {
             Some(seed) => vec![seed],
             None => sc.battery_seeds.to_vec(),
         };
-        // An explicit --sched/--quantum/--host-threads restricts the
+        // An explicit --sched/--quantum restricts the
         // battery to that one mode; a bare --timing restricts it to that
         // clock's row subset; otherwise fan over every sched × timing
         // combination.
         let scheds = if sched_given {
             vec![SchedSpec::of(sched)]
         } else if timing_given {
-            SchedSpec::timing_set(2, sched.timing_label())
+            SchedSpec::timing_set(sched.timing_label())
         } else {
-            SchedSpec::default_set(2)
+            SchedSpec::default_set()
         };
         let spec = BatterySpec {
             scenario: sc.name,
@@ -542,7 +523,7 @@ fn cmd_scenario_run(args: &[String]) {
             seeds,
             scheds,
             quick,
-            ..BatterySpec::quick(sc, 2)
+            ..BatterySpec::quick(sc)
         };
         run_battery(&[spec], json);
         return;
@@ -617,8 +598,8 @@ fn cmd_scenario_battery(args: &[String]) {
         exit(2);
     }
     let scheds = match timing.as_deref() {
-        None => SchedSpec::default_set(2),
-        Some(t @ ("exact" | "unit" | "estimated")) => SchedSpec::timing_set(2, t),
+        None => SchedSpec::default_set(),
+        Some(t @ ("exact" | "unit" | "estimated")) => SchedSpec::timing_set(t),
         Some(other) => {
             eprintln!("unknown --timing `{other}` (use exact, unit or estimated)");
             exit(2);
@@ -628,7 +609,7 @@ fn cmd_scenario_battery(args: &[String]) {
         .iter()
         .map(|s| BatterySpec {
             scheds: scheds.clone(),
-            ..BatterySpec::quick(s, 2)
+            ..BatterySpec::quick(s)
         })
         .collect();
     run_battery(&specs, json);
