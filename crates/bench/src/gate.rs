@@ -642,8 +642,9 @@ pub struct ServiceSummary {
     pub health_ok: bool,
     /// Every backpressure rejection carried a `retry_after_ms` hint.
     pub backpressure_hinted: bool,
-    /// Injected faults became structured per-job failures while the rest
-    /// of the burst completed (see `serve::failure_isolated`).
+    /// Exactly the two injected faults became structured per-job failures
+    /// while the rest of the burst completed (see
+    /// `serve::failure_isolated`).
     pub failure_isolated: bool,
 }
 

@@ -1070,13 +1070,16 @@ pub fn service_benchmark(n_jobs: usize) -> Result<LoadReport, String> {
     report
 }
 
-/// Whether a load report demonstrates failure isolation: the injected
-/// faults failed *structurally* (panic / guest-trap kinds), everything
-/// else completed, and the server answered every health check.
+/// Whether a load report demonstrates failure isolation: exactly the two
+/// injected faults failed, *structurally* (one `panic`, one `guest-trap`),
+/// every other accepted job completed, and the server answered every
+/// health check. A third failure of any kind means a fault leaked into a
+/// neighbour job (or a clean job failed on its own) and fails the check.
 pub fn failure_isolated(report: &LoadReport) -> bool {
-    report.failed >= 2
-        && report.failure_kinds.iter().any(|k| k == "panic")
-        && report.failure_kinds.iter().any(|k| k == "guest-trap")
+    let mut kinds: Vec<&str> = report.failure_kinds.iter().map(String::as_str).collect();
+    kinds.sort_unstable();
+    report.failed == 2
+        && kinds == ["guest-trap", "panic"]
         && report.completed + report.failed == report.accepted
         && report.health_ok == report.health_checks
 }
@@ -1084,6 +1087,36 @@ pub fn failure_isolated(report: &LoadReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn failure_isolation_needs_exactly_the_two_injected_failures() {
+        let report = |kinds: &[&str]| LoadReport {
+            submitted: 10,
+            accepted: 6,
+            rejected: 4,
+            completed: 6 - kinds.len(),
+            failed: kinds.len(),
+            failure_kinds: kinds.iter().map(|k| k.to_string()).collect(),
+            health_ok: 12,
+            health_checks: 12,
+            backpressure_hinted: true,
+            wall_s: 1.0,
+            throughput_jobs_per_s: 4.0,
+        };
+        assert!(failure_isolated(&report(&["panic", "guest-trap"])));
+        assert!(failure_isolated(&report(&["guest-trap", "panic"])));
+        // A third failure means a neighbour job did not complete.
+        assert!(!failure_isolated(&report(&[
+            "panic",
+            "guest-trap",
+            "verify-failed"
+        ])));
+        assert!(!failure_isolated(&report(&["panic", "panic"])));
+        assert!(!failure_isolated(&report(&["panic"])));
+        let mut unanswered = report(&["panic", "guest-trap"]);
+        unanswered.health_ok -= 1;
+        assert!(!failure_isolated(&unanswered));
+    }
 
     #[test]
     fn flat_json_parses_the_job_shapes() {

@@ -124,6 +124,10 @@ fn a_burst_beyond_capacity_is_backpressured_and_accepted_jobs_complete() {
         report.health_ok, report.health_checks,
         "health stayed answered throughout"
     );
+    assert_eq!(
+        report.failed, 2,
+        "only the two poisoned jobs may fail: {report:?}"
+    );
     assert!(
         failure_isolated(&report),
         "poisoned jobs must fail structurally without downing the server: {report:?}"

@@ -281,7 +281,8 @@ pub fn profile_bump(op: MicroOp) {
     CLASS_PROFILE[OpClass::of(op) as usize].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Bulk histogram add for kernel batches: `n` retirements of `class`.
+/// Bulk histogram add for the native kernel tier: `n` retirements of
+/// `class`.
 pub fn profile_add(class: OpClass, n: u64) {
     CLASS_PROFILE[class as usize].fetch_add(n, Ordering::Relaxed);
 }

@@ -173,19 +173,19 @@ enum PrevKind {
 }
 
 /// In-arm exit signal from a `BLOCK`-mode [`Core::exec_op`] dispatch —
-/// the superblock loop reads it after each op so the memory arms can
-/// screen their own effective addresses (one dispatch per op instead of
-/// a separate pre-classification pass).
+/// the superblock loop and the kernel batch read it after each op so the
+/// memory arms can screen their own effective addresses (one dispatch per
+/// op instead of a separate pre-classification pass).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockExit {
+pub(crate) enum BlockExit {
     /// The op retired normally; keep running the block.
     None,
     /// MMIO-classified access: the op did **not** run and no state —
     /// architectural or model — moved. The caller ends the block and
     /// single-steps the op with a flushed clock.
     Defer,
-    /// The op retired but stored into the block's not-yet-executed tail:
-    /// the fused buffer is stale — end the block after this op.
+    /// The op retired but stored into the block's own code words: the
+    /// fused buffer may be stale — end the block after this op.
     StoreTail,
 }
 
@@ -713,8 +713,12 @@ impl Core {
             // Kernel spans outrank superblocks at their entry pc: a batch
             // swallows whole loop iterations where a block stops at the
             // back-edge. Declines fall through to the block/single paths.
-            if kern && self.try_kernel::<T>(shared, stop) {
-                continue;
+            if kern {
+                match self.try_kernel::<T, PROF>(shared, stop) {
+                    Ok(true) => continue,
+                    Ok(false) => {}
+                    Err(cause) => break Err(cause),
+                }
             }
             if sb {
                 match self.try_superblock::<T, PROF>(shared, &mut sbuf, stop) {
@@ -774,36 +778,41 @@ impl Core {
     }
 
     /// Dispatch and retire one predecoded micro-op at `pc`, returning the
-    /// next pc. The single-step path ([`Core::exec_one`]) wraps this with
-    /// the fault-plan trigger, the alignment check and the table fetch;
-    /// the superblock path ([`Core::exec_block`]) hoists those out of the
-    /// per-op loop and runs ops straight from the fused buffer.
+    /// next pc. This is the only implementation of micro-op semantics.
+    /// The single-step path ([`Core::exec_one`]) wraps it with the
+    /// fault-plan trigger, the alignment check and the table fetch; the
+    /// superblock path ([`Core::exec_block`]) and the kernel batch
+    /// (`crate::kernel`) hoist those out of the per-op loop and run ops
+    /// straight from a copied buffer.
     ///
     /// `BLOCK` (a const, so both variants compile to straight-line code)
-    /// selects the superblock calling convention:
+    /// selects the superblock calling convention, which the kernel batch
+    /// shares under the relaxed clocks:
     ///
-    /// * the caller guarantees the slot is decoded SDRAM and that the
-    ///   fetch is a verified I-cache hit (blocks end *before* a would-miss
-    ///   fetch) with accounting batched per line segment — the state match
-    ///   and the fetch-timing arm are both skipped;
+    /// * the caller guarantees the slot is decoded SDRAM and, under the
+    ///   exact clock, that the fetch is a verified I-cache hit (blocks end
+    ///   *before* a would-miss fetch) with accounting batched per line
+    ///   segment — the state match and the fetch-timing arm are both
+    ///   skipped;
     /// * the memory arms screen their effective address *in-arm*: an
     ///   MMIO-classified access signals [`BlockExit::Defer`] and returns
     ///   with **no** state moved (the hazard-stall commit is rolled back),
     ///   so the caller can single-step it with a flushed clock — MMIO is
-    ///   otherwise unreachable and the device-effect tail is skipped;
-    /// * a store landing in the block's not-yet-executed tail (derived
-    ///   from `blk_base`/`blk_len`; block pcs are straight-line, so the
-    ///   op index is `(pc - blk_base) / 4`) retires normally but signals
+    ///   otherwise unreachable and the device-effect tail is skipped; a
+    ///   misaligned or unmapped access returns its trap exactly as
+    ///   single-stepping does;
+    /// * a store landing in the block's own words
+    ///   `[blk_base, blk_base + 4 * blk_len)` retires normally but signals
     ///   [`BlockExit::StoreTail`];
     /// * the non-exact clock/instret update is left to the caller, which
-    ///   accumulates one sum per block. The exact policy always retires
-    ///   per-op because stall costs are data-dependent.
+    ///   accumulates one sum per block or batch. The exact policy always
+    ///   retires per-op because stall costs are data-dependent.
     ///
     /// The slot is destructured straight into scalars so the 16-byte
     /// `PreInst` never round-trips through a stack temporary.
     #[inline(always)]
     #[allow(clippy::too_many_lines)]
-    fn exec_op<T: Timing, const BLOCK: bool, const PROF: bool>(
+    pub(crate) fn exec_op<T: Timing, const BLOCK: bool, const PROF: bool>(
         &mut self,
         shared: &mut Shared,
         pre: &PreInst,
@@ -969,7 +978,7 @@ impl Core {
                 extra += mem_extra;
                 effect = eff;
                 if BLOCK {
-                    Self::flag_store_tail(addr, pc, blk_base, blk_len, exit);
+                    Self::flag_store_tail(addr, blk_base, blk_len, exit);
                 }
             }
             MicroOp::Addi => {
@@ -1154,7 +1163,7 @@ impl Core {
                 self.counters.nmpn += 1;
                 kind = self.nm_kind(shared);
                 if BLOCK {
-                    Self::flag_store_tail(addr, pc, blk_base, blk_len, exit);
+                    Self::flag_store_tail(addr, blk_base, blk_len, exit);
                 }
             }
             MicroOp::Nmdec => {
@@ -1166,15 +1175,15 @@ impl Core {
         }
 
         // Opt-in per-op-class histogram (`IZHI_PROFILE=1`): bumped on
-        // every retire path — single-step, superblock (the early `Defer`/
-        // `Err` returns above skip it, matching "retired") — and bulk-
-        // added by kernel batches. `PROF` is a monomorphisation constant
-        // (selected once per run from [`Core::profile`]), so the
-        // non-profiled interpreter carries no check at all: even a
-        // never-taken branch to a cold call here measurably slows the
-        // dispatch loop. The bump is a free function over a global table,
-        // not a write through `&mut self`, so the profiled variant's loop
-        // keeps its register-held state too (see
+        // every retire path — single-step, superblock and generic kernel
+        // batch (the early `Defer`/`Err` returns above skip it, matching
+        // "retired") — and bulk-added by the native kernel tier. `PROF` is
+        // a monomorphisation constant (selected once per run from
+        // [`Core::profile`]), so the non-profiled interpreter carries no
+        // check at all: even a never-taken branch to a cold call here
+        // measurably slows the dispatch loop. The bump is a free function
+        // over a global table, not a write through `&mut self`, so the
+        // profiled variant's loop keeps its register-held state too (see
         // [`counters::profile_bump`]).
         if PROF {
             counters::profile_bump(op);
@@ -1206,8 +1215,8 @@ impl Core {
         } else if !BLOCK {
             // Non-exact: the policy's static per-op cost (1 for Unit, the
             // CostTable class cost for Estimated), with `extra` always 0.
-            // A superblock caller accumulates these itself and flushes
-            // once per block.
+            // A superblock or kernel-batch caller accumulates these itself
+            // and flushes once per block or batch.
             self.counters.instret += 1;
             self.time += T::op_cost(op);
         }
@@ -1266,15 +1275,15 @@ impl Core {
         self.exec_block::<T, PROF>(shared, &sbuf[..len as usize], pc, stop)
     }
 
-    /// Flag a retiring store that lands in its own block's not-yet-executed
-    /// tail (words past this op): the fused buffer is stale from the next
-    /// op on, so the block must end after this one. Block pcs are
-    /// straight-line, so the op's index is `(pc - blk_base) / 4`.
+    /// Flag a retiring store into its own block's words,
+    /// `[blk_base, blk_base + 4 * blk_len)`: the fused buffer may be stale
+    /// from the next op on, so the block ends after this one. A store
+    /// into the already-run prefix of a straight-line block only ends it
+    /// early; a loop's next iteration would re-run that prefix, so the
+    /// kernel batch relies on it.
     #[inline(always)]
-    fn flag_store_tail(addr: u32, pc: u32, blk_base: u32, blk_len: u32, exit: &mut BlockExit) {
-        let next_idx = (pc.wrapping_sub(blk_base) >> 2) + 1;
-        let tail_start = (blk_base >> 2).wrapping_add(next_idx);
-        if (addr >> 2).wrapping_sub(tail_start) < blk_len - next_idx {
+    fn flag_store_tail(addr: u32, blk_base: u32, blk_len: u32, exit: &mut BlockExit) {
+        if (addr >> 2).wrapping_sub(blk_base >> 2) < blk_len {
             *exit = BlockExit::StoreTail;
         }
     }
@@ -1294,9 +1303,9 @@ impl Core {
     ///   in-arm before the access and before any state moves: devices
     ///   read the live clock and ROI markers snapshot the counters — the
     ///   caller single-steps the access with a flushed clock);
-    /// * a store landing in the block's not-yet-executed tail
-    ///   ([`BlockExit::StoreTail`]: the buffered copy is stale; re-entry
-    ///   re-forms the block).
+    /// * a store landing in the block's own words
+    ///   ([`BlockExit::StoreTail`]: the buffered copy may be stale;
+    ///   re-entry re-forms the block).
     fn exec_block<T: Timing, const PROF: bool>(
         &mut self,
         shared: &mut Shared,

@@ -1,38 +1,43 @@
-//! Host-native batch kernels for the guest's hot loops.
+//! Host batch kernels for the guest's hot loops.
 //!
-//! Superblocks (PR 9) removed the per-instruction fetch/dispatch cost of a
+//! Superblocks remove the per-instruction fetch/dispatch cost of a
 //! straight-line run; this module removes the per-*iteration* cost of the
 //! engine's phase-A scatter and phase-B neuron-update loops. The engine
 //! registers each loop it emits as a [`KernelSpan`] — the loop's entry pc,
 //! its decoded body, and a fingerprint of the raw code words — and the
 //! relaxed interpreters ([`UnitTiming`](crate::cpu) / estimated timing)
-//! execute a registered span as one **batch**: a tight host loop over the
-//! decoded trace that keeps the register file, the NM_REGS block and all
-//! event counters in locals, reads and writes guest RAM through the same
-//! bounds-checked views the interpreter uses, and only flushes register
-//! and counter state back to the core once per batch.
+//! execute a registered span as one **batch**: many loop iterations per
+//! dispatch, with the clock and retirement count flushed back to the core
+//! once per batch.
+//!
+//! ## Two tiers, one set of micro-op semantics
+//!
+//! * **Native closed form.** A body that matched a [`NativeShape`] at
+//!   registration (the dense phase-A scatter) runs as straight host code
+//!   whenever up-front screens over its whole load and store sweeps pass.
+//! * **Generic batch.** Every other span, and every native span whose
+//!   screens fail, runs as a loop driver over the copied trace that hands
+//!   each op to [`Core::exec_op`](crate::cpu) in superblock mode — the same
+//!   function single-stepping and superblocks execute. The driver only
+//!   decides where the next op is: the back-edge starts the next
+//!   iteration, a forward in-span target skips ahead, and any other pc
+//!   leaves the span.
 //!
 //! ## Bit-identity by construction
 //!
-//! The batch executor is not a re-implementation of the loop's *meaning*
-//! — it is a mini-interpreter over the **same decoded micro-ops** the
-//! single-step path would execute, applying the same arithmetic, the same
-//! memory classification and the same counter increments in the same
-//! order. Ops retire one at a time with their memory traffic committed
-//! directly, exactly like [`Core::exec_block`](crate::cpu) runs a fused
-//! superblock; what makes that sound is the same rule superblocks use:
-//! any op the batch cannot run — an MMIO access (devices read the live
-//! clock), a misaligned or unmapped address (the interpreter raises
-//! the trap), or a store into the span's own code words from the *next*
-//! op on (the decoded trace is stale) — **defers**: the batch ends with
-//! `pc` parked on the first op that did not retire and with every retired
-//! op's state already exactly what single-stepping would have left, so
-//! the interpreter simply picks up mid-iteration. Defers are therefore a
-//! pure performance event, never a semantic one. The same hoisted entry
-//! conditions as `Core::try_superblock` keep scheduler stop points and
-//! fault-plan trigger points identical: a batch iteration only starts
-//! when its whole conservative cost fits under the quantum bound and its
-//! whole length fits under the armed fault trigger.
+//! Ops retire one at a time with their memory traffic committed directly,
+//! exactly like [`Core::exec_block`](crate::cpu) runs a fused superblock,
+//! so every retired op leaves the state single-stepping would have left.
+//! The batch ends early in the same places a superblock does: an MMIO
+//! access defers (devices read the live clock) with `pc` parked on it, a
+//! store into the span's own code words ends the batch after the store
+//! (the copied trace is stale), and a misaligned or unmapped access
+//! returns its trap from inside the batch with the same `pc` and cause the
+//! interpreter raises. The same hoisted entry conditions as
+//! `Core::try_superblock` keep scheduler stop points and fault-plan
+//! trigger points identical: a batch iteration only starts when its whole
+//! conservative cost fits under the quantum bound and its whole length
+//! fits under the armed fault trigger.
 //!
 //! Exact timing keeps interpreting (the cycle model consults caches, the
 //! shared bus and hazard state per instruction — exactly what batching
@@ -56,13 +61,10 @@
 //! and the interpreter (which re-decodes through the ordinary
 //! store-invalidation path) takes over.
 
-use izhi_core::dcu::Dcu;
-use izhi_core::npu::NpUnit;
-use izhi_fixed::Q15_16;
 use izhi_isa::inst::{LoadOp, StoreOp};
 
 use crate::counters::{self, OpClass};
-use crate::cpu::{Core, Timing};
+use crate::cpu::{BlockExit, Core, Timing, TrapCause};
 use crate::mem::{layout, read_slice, write_slice, MainMemory};
 use crate::predecode::{CodeTable, MicroOp, PreInst, SlotState, NO_DEST};
 use crate::system::Shared;
@@ -493,28 +495,34 @@ pub fn register_kernel_span(
 
 impl Core {
     /// Attempt to run the kernel span at `self.pc` as one batch. Returns
-    /// whether at least one iteration committed (the caller re-enters its
-    /// scheduling loop). Only instantiated by the relaxed interpreters.
+    /// `Ok(true)` when at least one op retired (the caller re-enters its
+    /// scheduling loop), `Ok(false)` to fall back to the superblock and
+    /// single-step paths, or the trap an op in the batch raised. Only
+    /// instantiated by the relaxed interpreters.
     #[inline]
-    pub(crate) fn try_kernel<T: Timing>(&mut self, shared: &mut Shared, stop: u64) -> bool {
+    pub(crate) fn try_kernel<T: Timing, const PROF: bool>(
+        &mut self,
+        shared: &mut Shared,
+        stop: u64,
+    ) -> Result<bool, TrapCause> {
         debug_assert!(!T::EXACT);
         let Some(hdr) = shared.code.kernels.lookup(self.pc) else {
-            return false;
+            return Ok(false);
         };
-        self.kernel_enter::<T>(shared, hdr, stop)
+        self.kernel_enter::<T, PROF>(shared, hdr, stop)
     }
 
     /// Out-of-line entry: state check / re-verification, trace copy and
     /// the batch loop (kept off the per-op dispatch path, which only pays
     /// the entry-pc probe above).
-    fn kernel_enter<T: Timing>(
+    fn kernel_enter<T: Timing, const PROF: bool>(
         &mut self,
         shared: &mut Shared,
         hdr: KernelHeader,
         stop: u64,
-    ) -> bool {
+    ) -> Result<bool, TrapCause> {
         match hdr.state {
-            SpanState::Rejected => return false,
+            SpanState::Rejected => return Ok(false),
             SpanState::Ready => {}
             SpanState::Dirty => {
                 // A store landed inside the span: the decoded trace is
@@ -525,14 +533,14 @@ impl Core {
                 while pc < hdr.exit {
                     let Some(word) = shared.mem.read_u32(pc) else {
                         shared.code.kernels.set_state(hdr.idx, SpanState::Rejected);
-                        return false;
+                        return Ok(false);
                     };
                     fp = fnv_word(fp, word);
                     pc += 4;
                 }
                 if fp != hdr.fp {
                     shared.code.kernels.set_state(hdr.idx, SpanState::Rejected);
-                    return false;
+                    return Ok(false);
                 }
                 shared.code.kernels.set_state(hdr.idx, SpanState::Ready);
             }
@@ -546,11 +554,12 @@ impl Core {
         // the registration words, so the registration-time match is still
         // exact.)
         if let Some(shape) = hdr.native {
-            if let Some(ran) = self.kernel_native::<T>(shared, &hdr, &buf[..len], shape, stop) {
-                return ran;
+            if let Some(ran) = self.kernel_native::<T, PROF>(shared, &hdr, &buf[..len], shape, stop)
+            {
+                return Ok(ran);
             }
         }
-        self.kernel_batch::<T>(shared, &hdr, &buf[..len], stop)
+        self.kernel_batch::<T, PROF>(shared, &hdr, &buf[..len], stop)
     }
 
     /// Closed-form execution of a matched [`NativeShape`] span.
@@ -565,9 +574,9 @@ impl Core {
     /// per-op path checks incrementally is checked here in closed form, so
     /// the architectural end state — registers, memory, counters, clock,
     /// `pc` — is bit-identical to `k` interpreted iterations. Returns
-    /// `None` when any screen fails (the generic batch loop, which defers
-    /// per-op, takes over) or `Some(ran)` when the native tier owned the
-    /// dispatch.
+    /// `None` when any screen fails (the generic batch loop takes over and
+    /// meets the trap, device access or own-code store op by op) or
+    /// `Some(ran)` when the native tier owned the dispatch.
     ///
     /// Kept out of line, like `kernel_batch`: each batch loop gets its own
     /// register allocation instead of sharing one with the entry checks.
@@ -575,7 +584,7 @@ impl Core {
     /// (release build, 2-vCPU x86-64 host). The call is paid once per
     /// batch.
     #[inline(never)]
-    fn kernel_native<T: Timing>(
+    fn kernel_native<T: Timing, const PROF: bool>(
         &mut self,
         shared: &mut Shared,
         hdr: &KernelHeader,
@@ -690,7 +699,7 @@ impl Core {
         self.counters.loads += 2 * k;
         self.counters.stores += k;
         self.kernel_instret += full_len * k;
-        if self.profile {
+        if PROF {
             for p in trace {
                 counters::profile_add(OpClass::of(p.op), k);
             }
@@ -703,491 +712,88 @@ impl Core {
         Some(true)
     }
 
-    /// The batch loop: retire the span's ops one at a time against local
-    /// register and counter state, committing memory traffic directly
-    /// through the same bounds-checked views the interpreter uses —
-    /// exactly the superblock execution discipline, minus the per-op
-    /// fetch, fault and budget checks (hoisted per iteration) and the
-    /// per-dispatch lookup (paid once per batch). Anything the batch
-    /// cannot run defers with `pc` parked on the first unretired op; see
-    /// the module docs for the identity argument.
-    #[allow(clippy::too_many_lines)]
+    /// The generic batch: run the copied trace through [`Core::exec_op`]
+    /// in superblock mode — the one implementation of micro-op semantics
+    /// that single-stepping and superblocks use too — iteration after
+    /// iteration, with the clock and retirement count accumulated locally
+    /// and flushed once per batch on every exit.
+    ///
+    /// An iteration only starts when its whole conservative cost fits
+    /// under the quantum bound and its whole length fits under the armed
+    /// fault trigger, mirroring `try_superblock`'s entry checks, so
+    /// single-stepping would have run every op the batch retires — the
+    /// scheduler stop points and fault trigger points are identical. The
+    /// batch ends with `pc` on the op that did not run when an op defers
+    /// (an MMIO access: devices read the live clock), after an op that
+    /// stored into the span's own words (the copied trace is stale), when
+    /// control leaves the span, and with the trap when an op raises one —
+    /// exactly where and how the interpreter raises it.
     #[inline(never)]
-    fn kernel_batch<T: Timing>(
+    fn kernel_batch<T: Timing, const PROF: bool>(
         &mut self,
         shared: &mut Shared,
         hdr: &KernelHeader,
         trace: &[PreInst],
         stop: u64,
-    ) -> bool {
-        let len = trace.len();
-        // Conservative full-path bounds, mirroring `try_superblock`'s
-        // entry checks: an iteration only starts when the *maximum*
-        // possible cost fits under the quantum bound and the maximum
-        // possible retirement count stays below the armed fault trigger,
-        // so single-stepping would have run every retired op too —
-        // identical stop and trigger points.
-        let full_cost: u64 = trace.iter().map(|p| T::op_cost(p.op)).sum();
-        let full_len = len as u64;
-        let fault_at = self.fault.map_or(u64::MAX, |(at, _)| at);
+    ) -> Result<bool, TrapCause> {
+        let len = trace.len() as u32;
         let span_bytes = hdr.exit - hdr.entry;
-        let scratch_size = shared.mem.scratch_size();
-        let sdram_size = shared.mem.sdram_size();
-        let prof_on = self.profile;
-
-        let mut regs = self.regs;
-        let mut nmregs = self.nmregs;
+        let full_cost: u64 = trace.iter().map(|p| T::op_cost(p.op)).sum();
+        // Superblock-mode ops leave the clock and instret to the caller.
+        let (time0, instret0) = (self.time, self.counters.instret);
+        let fault_at = self.fault.map_or(u64::MAX, |(at, _)| at);
         let mut dt = 0u64;
         let mut instret = 0u64;
-        let mut loads = 0u64;
-        let mut stores = 0u64;
-        let mut nmpn = 0u64;
-        let mut nmdec = 0u64;
-        let mut nmldl = 0u64;
-        let mut nmldh = 0u64;
-        let mut prof = [0u64; 8];
-        // Where the batch leaves the core; the exits below overwrite it.
-        let mut next_pc = hdr.entry;
-
-        // Retire the op at `idx` (accounting only; the arm already moved
-        // the architectural state).
-        macro_rules! retire {
-            ($op:expr) => {{
-                instret += 1;
-                dt += T::op_cost($op);
-                if prof_on {
-                    prof[OpClass::of($op) as usize] += 1;
-                }
-            }};
-        }
-        // A "defer" below ends the batch with `pc` on the op at `idx`,
-        // which did not retire and moved no state: the interpreter
-        // re-executes it — running the device access, raising the trap,
-        // re-decoding the stored-over code — and simply continues the
-        // iteration.
-
-        'batch: loop {
-            if self.time + dt + full_cost > stop {
-                break;
-            }
-            if self.counters.instret + instret + full_len > fault_at {
-                break;
+        let (pc, trap) = 'batch: loop {
+            if time0 + dt + full_cost > stop || instret0 + instret + u64::from(len) > fault_at {
+                break (hdr.entry, None);
             }
             let mut idx = 0usize;
             loop {
-                let Some(pre) = trace.get(idx) else {
-                    // Fell past the back-edge (or a forward branch hit
-                    // `exit`): the guest leaves the loop.
-                    next_pc = hdr.exit;
-                    break 'batch;
+                let pre = &trace[idx];
+                let pc = hdr.entry + ((idx as u32) << 2);
+                let mut exit = BlockExit::None;
+                let next = match self
+                    .exec_op::<T, true, PROF>(shared, pre, pc, hdr.entry, len, &mut exit)
+                {
+                    Ok(next) => next,
+                    Err(cause) => break 'batch (pc, Some(cause)),
                 };
-                let op = pre.op;
-                let (rd, rs1, rs2) = (pre.rd as usize, pre.rs1 as usize, pre.rs2 as usize);
-                let imm = pre.imm;
-                match op {
-                    // `auipc` was fully resolved at predecode.
-                    MicroOp::Lui | MicroOp::Auipc => {
-                        regs[rd] = imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Beq
-                    | MicroOp::Bne
-                    | MicroOp::Blt
-                    | MicroOp::Bge
-                    | MicroOp::Bltu
-                    | MicroOp::Bgeu => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        let taken = match op {
-                            MicroOp::Beq => a == b,
-                            MicroOp::Bne => a != b,
-                            MicroOp::Blt => (a as i32) < (b as i32),
-                            MicroOp::Bge => (a as i32) >= (b as i32),
-                            MicroOp::Bltu => a < b,
-                            _ => a >= b,
-                        };
-                        if taken {
-                            let target = imm as u32;
-                            if target == hdr.entry {
-                                // The back-edge: iteration complete.
-                                retire!(op);
-                                continue 'batch;
-                            }
-                            let off = (target.wrapping_sub(hdr.entry) >> 2) as usize;
-                            if off > len {
-                                // Re-verified traces never produce this;
-                                // defensively defer rather than trust it.
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            retire!(op);
-                            idx = off;
-                            continue;
-                        }
-                        retire!(op);
-                        idx += 1;
-                        continue;
-                    }
-                    MicroOp::Lb | MicroOp::Lh | MicroOp::Lw | MicroOp::Lbu | MicroOp::Lhu => {
-                        let (lop, size) = match op {
-                            MicroOp::Lb => (LoadOp::Lb, 1),
-                            MicroOp::Lh => (LoadOp::Lh, 2),
-                            MicroOp::Lw => (LoadOp::Lw, 4),
-                            MicroOp::Lbu => (LoadOp::Lbu, 1),
-                            _ => (LoadOp::Lhu, 2),
-                        };
-                        let addr = regs[rs1].wrapping_add(imm as u32);
-                        let scratch_off = addr.wrapping_sub(layout::SCRATCH_BASE);
-                        let raw = if !addr.is_multiple_of(size) {
-                            // Misaligned: the interpreter raises the trap.
-                            None
-                        } else if scratch_off < scratch_size {
-                            read_slice(shared.mem.scratch_bytes(), scratch_off as usize, lop)
-                        } else if addr < sdram_size {
-                            read_slice(shared.mem.sdram_bytes(), addr as usize, lop)
-                        } else {
-                            // MMIO loads interact with live devices;
-                            // out-of-range loads trap. Both belong to the
-                            // interpreter.
-                            None
-                        };
-                        let raw = match raw {
-                            Some(r) => r,
-                            None => {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                        };
-                        regs[rd] = match op {
-                            MicroOp::Lb => raw as u8 as i8 as i32 as u32,
-                            MicroOp::Lh => raw as u16 as i16 as i32 as u32,
-                            _ => raw,
-                        };
-                        regs[0] = 0;
-                        loads += 1;
-                    }
-                    MicroOp::Sb | MicroOp::Sh | MicroOp::Sw => {
-                        let (sop, size) = match op {
-                            MicroOp::Sb => (StoreOp::Sb, 1),
-                            MicroOp::Sh => (StoreOp::Sh, 2),
-                            _ => (StoreOp::Sw, 4),
-                        };
-                        let addr = regs[rs1].wrapping_add(imm as u32);
-                        let scratch_off = addr.wrapping_sub(layout::SCRATCH_BASE);
-                        let own;
-                        if !addr.is_multiple_of(size) {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        } else if scratch_off < scratch_size {
-                            if scratch_off + size > scratch_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            let ok = write_slice(
-                                shared.mem.scratch_bytes_mut(),
-                                scratch_off as usize,
-                                regs[rs2],
-                                sop,
-                            );
-                            debug_assert!(ok, "screened batch store failed");
-                            own = false;
-                        } else if addr < sdram_size {
-                            if addr + size > sdram_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            let ok = write_slice(
-                                shared.mem.sdram_bytes_mut(),
-                                addr as usize,
-                                regs[rs2],
-                                sop,
-                            );
-                            debug_assert!(ok, "screened batch store failed");
-                            own = (addr & !3).wrapping_sub(hdr.entry) < span_bytes;
-                        } else {
-                            // MMIO (the spike log included — the
-                            // interpreter's store path applies any pending
-                            // injected corruption) and unmapped addresses
-                            // defer, exactly like a superblock.
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        shared.code.invalidate_store(addr);
-                        stores += 1;
-                        retire!(op);
-                        if own {
-                            // The store landed in the span's own code: the
-                            // copied trace is stale from the next op on.
-                            // Hand the rest of the iteration to the
-                            // interpreter (which re-decodes through the
-                            // ordinary invalidation path); the span is now
-                            // Dirty and re-verifies at the next entry.
-                            next_pc = hdr.entry + (((idx + 1) as u32) << 2);
-                            break 'batch;
-                        }
-                        idx += 1;
-                        continue;
-                    }
-                    MicroOp::Addi => {
-                        regs[rd] = regs[rs1].wrapping_add(imm as u32);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Slti => {
-                        regs[rd] = u32::from((regs[rs1] as i32) < imm);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sltiu => {
-                        regs[rd] = u32::from(regs[rs1] < imm as u32);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Xori => {
-                        regs[rd] = regs[rs1] ^ imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Ori => {
-                        regs[rd] = regs[rs1] | imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Andi => {
-                        regs[rd] = regs[rs1] & imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Slli => {
-                        regs[rd] = regs[rs1] << (imm & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Srli => {
-                        regs[rd] = regs[rs1] >> (imm & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Srai => {
-                        regs[rd] = ((regs[rs1] as i32) >> (imm & 0x1F)) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Add => {
-                        regs[rd] = regs[rs1].wrapping_add(regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sub => {
-                        regs[rd] = regs[rs1].wrapping_sub(regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sll => {
-                        regs[rd] = regs[rs1] << (regs[rs2] & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Slt => {
-                        regs[rd] = u32::from((regs[rs1] as i32) < (regs[rs2] as i32));
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sltu => {
-                        regs[rd] = u32::from(regs[rs1] < regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Xor => {
-                        regs[rd] = regs[rs1] ^ regs[rs2];
-                        regs[0] = 0;
-                    }
-                    MicroOp::Srl => {
-                        regs[rd] = regs[rs1] >> (regs[rs2] & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sra => {
-                        regs[rd] = ((regs[rs1] as i32) >> (regs[rs2] & 0x1F)) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Or => {
-                        regs[rd] = regs[rs1] | regs[rs2];
-                        regs[0] = 0;
-                    }
-                    MicroOp::And => {
-                        regs[rd] = regs[rs1] & regs[rs2];
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mul => {
-                        regs[rd] = regs[rs1].wrapping_mul(regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mulh => {
-                        regs[rd] = ((regs[rs1] as i32 as i64).wrapping_mul(regs[rs2] as i32 as i64)
-                            >> 32) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mulhsu => {
-                        regs[rd] =
-                            ((regs[rs1] as i32 as i64).wrapping_mul(regs[rs2] as i64) >> 32) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mulhu => {
-                        regs[rd] = ((regs[rs1] as u64 * regs[rs2] as u64) >> 32) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Div => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        regs[rd] = if b == 0 {
-                            u32::MAX
-                        } else if a == 0x8000_0000 && b == u32::MAX {
-                            a
-                        } else {
-                            ((a as i32) / (b as i32)) as u32
-                        };
-                        regs[0] = 0;
-                    }
-                    MicroOp::Divu => {
-                        regs[rd] = regs[rs1].checked_div(regs[rs2]).unwrap_or(u32::MAX);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Rem => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        regs[rd] = if b == 0 {
-                            a
-                        } else if a == 0x8000_0000 && b == u32::MAX {
-                            0
-                        } else {
-                            ((a as i32) % (b as i32)) as u32
-                        };
-                        regs[0] = 0;
-                    }
-                    MicroOp::Remu => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        regs[rd] = if b == 0 { a } else { a % b };
-                        regs[0] = 0;
-                    }
-                    MicroOp::Nmldl => {
-                        let ok = nmregs.exec_nmldl(regs[rs1], regs[rs2]);
-                        regs[rd] = ok;
-                        regs[0] = 0;
-                        nmldl += 1;
-                    }
-                    MicroOp::Nmldh => {
-                        let ok = nmregs.exec_nmldh(regs[rs1]);
-                        regs[rd] = ok;
-                        regs[0] = 0;
-                        nmldh += 1;
-                    }
-                    MicroOp::Nmpn => {
-                        let vu = regs[rs1];
-                        let isyn = Q15_16::from_raw(regs[rs2] as i32);
-                        let addr = regs[rd];
-                        // Screen the word store before the unit runs: the
-                        // interpreter computes the update, traps or hits
-                        // the device on the store, and only then writes
-                        // the spike flag — deferring before any state
-                        // moves reproduces all of it.
-                        let scratch_off = addr.wrapping_sub(layout::SCRATCH_BASE);
-                        let own;
-                        if !addr.is_multiple_of(4) {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        } else if scratch_off < scratch_size {
-                            if scratch_off + 4 > scratch_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            own = false;
-                        } else if addr < sdram_size {
-                            if addr + 4 > sdram_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            own = addr.wrapping_sub(hdr.entry) < span_bytes;
-                        } else {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        let out = NpUnit::update(&nmregs, vu, isyn);
-                        // The store retires before the spike writeback,
-                        // exactly as the interpreter orders it.
-                        let ok = if scratch_off < scratch_size {
-                            write_slice(
-                                shared.mem.scratch_bytes_mut(),
-                                scratch_off as usize,
-                                out.vu,
-                                StoreOp::Sw,
-                            )
-                        } else {
-                            write_slice(
-                                shared.mem.sdram_bytes_mut(),
-                                addr as usize,
-                                out.vu,
-                                StoreOp::Sw,
-                            )
-                        };
-                        debug_assert!(ok, "screened batch store failed");
-                        shared.code.invalidate_store(addr);
-                        stores += 1;
-                        regs[rd] = u32::from(out.spike);
-                        regs[0] = 0;
-                        nmpn += 1;
-                        retire!(op);
-                        if own {
-                            next_pc = hdr.entry + (((idx + 1) as u32) << 2);
-                            break 'batch;
-                        }
-                        idx += 1;
-                        continue;
-                    }
-                    MicroOp::Nmdec => {
-                        regs[rd] = Dcu::exec_nmdec(&nmregs, regs[rs1], regs[rs2]);
-                        regs[0] = 0;
-                        nmdec += 1;
-                    }
-                    MicroOp::Jal => {
-                        // Audited: only `jal x0` with a forward in-span
-                        // target survives registration, so the link write
-                        // is void and the jump is an always-taken branch.
-                        if rd != 0 {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        let off = ((imm as u32).wrapping_sub(hdr.entry) >> 2) as usize;
-                        if off > len {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        retire!(op);
-                        idx = off;
-                        continue;
-                    }
-                    // Rejected at registration; a re-verified trace cannot
-                    // contain them.
-                    MicroOp::Jalr
-                    | MicroOp::Fence
-                    | MicroOp::Ecall
-                    | MicroOp::Ebreak
-                    | MicroOp::Csr => {
-                        next_pc = hdr.entry + ((idx as u32) << 2);
-                        break 'batch;
-                    }
+                if exit == BlockExit::Defer {
+                    break 'batch (pc, None);
                 }
-                retire!(op);
-                idx += 1;
+                dt += T::op_cost(pre.op);
+                instret += 1;
+                if exit == BlockExit::StoreTail {
+                    break 'batch (next, None);
+                }
+                // Straight-line ops are the common case. The back-edge
+                // completes an iteration; the audit makes every other
+                // in-span target strictly forward. Anything else — falling
+                // through the back-edge, a jump to `exit` — leaves.
+                if next == pc + 4 {
+                    idx += 1;
+                    if idx < trace.len() {
+                        continue;
+                    }
+                    break 'batch (next, None);
+                }
+                if next == hdr.entry {
+                    continue 'batch;
+                }
+                let off = next.wrapping_sub(hdr.entry);
+                if off < span_bytes && (off >> 2) as usize > idx {
+                    idx = (off >> 2) as usize;
+                    continue;
+                }
+                break 'batch (next, None);
             }
-        }
-
-        if instret == 0 {
-            return false;
-        }
-        self.regs = regs;
-        self.nmregs = nmregs;
+        };
+        self.pc = pc;
         self.time += dt;
         self.counters.instret += instret;
-        self.counters.loads += loads;
-        self.counters.stores += stores;
-        self.counters.nmpn += nmpn;
-        self.counters.nmdec += nmdec;
-        self.counters.nmldl += nmldl;
-        self.counters.nmldh += nmldh;
         self.kernel_instret += instret;
-        if prof_on {
-            for (class, d) in OpClass::ALL.into_iter().zip(prof.iter()) {
-                counters::profile_add(class, *d);
-            }
-        }
-        // Relaxed policies keep the hazard tracker neutral (same as the
-        // single-step epilogue).
-        self.prev_stall_dest = NO_DEST;
-        self.pc = next_pc;
-        true
+        trap.map_or(Ok(instret > 0), Err)
     }
 }
 

@@ -1,12 +1,14 @@
 //! Kernel-batch exactness property tests: executing a registered loop
 //! span as a host batch (the native closed-form tier *and* the generic
-//! trace executor) must be bit-identical to interpreting it — registers,
+//! `exec_op` batch) must be bit-identical to interpreting it — registers,
 //! memory, the cycle clock and the full performance-counter block —
 //! under every relaxed sched × timing combination, across array
 //! placements that exercise every screen (scratch/SDRAM, overlapping
-//! sweeps, misaligned bases, region-crossing sweeps), under fault-plan
-//! triggers landing mid-loop, and across self-modifying stores into the
-//! span's own code words (which must invalidate the span).
+//! sweeps, misaligned bases, region-crossing sweeps), across device
+//! accesses and traps met mid-batch (`nmpn` into MMIO or misaligned, a
+//! store sweep off the end of SDRAM), under fault-plan triggers landing
+//! mid-loop, and across self-modifying stores into the span's own code
+//! words (which must invalidate the span).
 //!
 //! The programs are hand-assembled replicas of the engine's dense
 //! phase-A scatter (the shape the native tier matches) plus generic
@@ -14,7 +16,7 @@
 //! does not — so both batch tiers are covered explicitly.
 
 use izhi_isa::encode;
-use izhi_isa::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
+use izhi_isa::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, NmOp, StoreOp};
 use izhi_isa::reg::Reg;
 use izhi_sim::{
     layout, register_kernel_span, FaultKind, FaultPlan, KernelVariant, SchedMode, SimError,
@@ -188,6 +190,7 @@ fn assert_identical(
         "{tag}: counters diverge"
     );
     let scratch_size = on.shared().mem.scratch_size();
+    let sdram_size = on.shared().mem.sdram_size();
     let windows = [
         (0u32, 4 * code_words as u32),
         (layout::SCRATCH_BASE + 0x1000, layout::SCRATCH_BASE + 0x4800),
@@ -196,6 +199,7 @@ fn assert_identical(
             layout::SCRATCH_BASE + scratch_size,
         ),
         (0x2000, 0x3800),
+        (sdram_size - 0x200, sdram_size),
     ];
     for (lo, hi) in windows {
         let mut addr = lo;
@@ -221,7 +225,8 @@ enum Placement {
     SdramWeightsScratchIsyn,
     /// Accumulator sweep overlapping the weight sweep (order-exactness).
     ScratchOverlap,
-    /// Odd weight base: every `lh` defers and the interpreter traps.
+    /// Odd weight base: the native screen fails and the first `lh`
+    /// traps inside the generic batch.
     MisalignedWeights,
     /// Accumulator sweep crossing the end of scratch mid-loop.
     CrossesScratchEnd,
@@ -261,12 +266,142 @@ fn bases(p: Placement, count: u32, w_off: u32, i_off: u32, scratch_size: u32) ->
     }
 }
 
+/// Generic loop bodies for the batch driver: a plain scratch sweep, plus
+/// the cases where an op inside a batch must defer or trap exactly where
+/// the interpreter does.
+#[derive(Debug, Clone, Copy)]
+enum GenericBody {
+    /// `lw`/`addi`/`xor`/`sw` over a scratch sweep.
+    ScratchSweep,
+    /// `nmpn` whose target steps from scratch to the spike-log register
+    /// (a deferred device access), then off the memory map (a trap).
+    NmpnIntoMmio,
+    /// `nmpn` whose target is aligned once, then misaligned (a trap).
+    NmpnMisaligned,
+    /// A store sweep starting eight words before the end of SDRAM, so it
+    /// runs off the map mid-batch (a trap).
+    StoreCrossesSdramEnd,
+}
+
+fn arb_generic_body() -> impl Strategy<Value = GenericBody> {
+    prop_oneof![
+        Just(GenericBody::ScratchSweep),
+        Just(GenericBody::NmpnIntoMmio),
+        Just(GenericBody::NmpnMisaligned),
+        Just(GenericBody::StoreCrossesSdramEnd),
+    ]
+}
+
+/// Assemble a generic counted loop: x28 counts down from `count`, x11 is
+/// the swept pointer. Returns the program and the loop entry pc.
+fn generic_program(
+    body: GenericBody,
+    count: u32,
+    stride: u32,
+    bias: i32,
+    sdram_size: u32,
+) -> (Vec<Inst>, u32) {
+    let scratch = layout::SCRATCH_BASE + 0x1000;
+    let nmpn_start = scratch + 4 * (bias + 16) as u32;
+    let (base, step) = match body {
+        GenericBody::ScratchSweep => (scratch, stride),
+        GenericBody::NmpnIntoMmio => (
+            nmpn_start,
+            (layout::MMIO_BASE + layout::MMIO_SPIKE_LOG).wrapping_sub(nmpn_start),
+        ),
+        GenericBody::NmpnMisaligned => (nmpn_start, stride + 2),
+        GenericBody::StoreCrossesSdramEnd => (sdram_size - 32, stride),
+    };
+    let mut v = Vec::new();
+    v.extend(li(Reg(11), base));
+    v.extend(li(Reg(15), step));
+    v.extend(li(Reg(10), 0x1234_5678u32.wrapping_add(bias as u32)));
+    v.extend(li(T3, count));
+    let entry = 4 * v.len() as u32;
+    match body {
+        GenericBody::ScratchSweep => {
+            v.push(Inst::Load {
+                op: LoadOp::Lw,
+                rd: Reg(10),
+                rs1: Reg(11),
+                imm: 0,
+            });
+            v.push(addi(Reg(10), Reg(10), bias));
+            v.push(Inst::Op {
+                op: AluOp::Xor,
+                rd: Reg(12),
+                rs1: Reg(10),
+                rs2: T3,
+            });
+            v.push(Inst::Store {
+                op: StoreOp::Sw,
+                rs1: Reg(11),
+                rs2: Reg(12),
+                imm: 0,
+            });
+        }
+        GenericBody::NmpnIntoMmio | GenericBody::NmpnMisaligned => {
+            // nmpn reads its store address from rd and overwrites rd with
+            // the spike flag, so the target is re-copied every iteration.
+            v.push(Inst::Op {
+                op: AluOp::Add,
+                rd: Reg(14),
+                rs1: Reg(11),
+                rs2: Reg(0),
+            });
+            v.push(Inst::Nm {
+                op: NmOp::Nmpn,
+                rd: Reg(14),
+                rs1: Reg(10),
+                rs2: T3,
+            });
+            v.push(Inst::Op {
+                op: AluOp::Xor,
+                rd: Reg(10),
+                rs1: Reg(10),
+                rs2: Reg(14),
+            });
+            v.push(addi(Reg(10), Reg(10), bias));
+        }
+        GenericBody::StoreCrossesSdramEnd => {
+            v.push(addi(Reg(10), Reg(10), bias));
+            v.push(Inst::Op {
+                op: AluOp::Xor,
+                rd: Reg(12),
+                rs1: Reg(10),
+                rs2: T3,
+            });
+            v.push(Inst::Store {
+                op: StoreOp::Sw,
+                rs1: Reg(11),
+                rs2: Reg(12),
+                imm: 0,
+            });
+        }
+    }
+    v.push(Inst::Op {
+        op: AluOp::Add,
+        rd: Reg(11),
+        rs1: Reg(11),
+        rs2: Reg(15),
+    });
+    v.push(addi(T3, T3, -1));
+    v.push(Inst::Branch {
+        op: BranchOp::Ne,
+        rs1: T3,
+        rs2: Reg(0),
+        imm: entry as i32 - 4 * v.len() as i32,
+    });
+    v.push(Inst::Ebreak);
+    (v, entry)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Dense phase-A replica, kernels on vs off, across placements that
-    /// drive the native tier, the generic batch and the defer/trap
-    /// paths, under every battery mode.
+    /// drive the native tier, the generic batch and its in-batch trap
+    /// path, under every battery mode.
     #[test]
     fn dense_axpy_kernels_on_off_bit_identical(
         placement in arb_placement(),
@@ -329,32 +464,18 @@ proptest! {
         }
     }
 
-    /// A generic counted loop (audit-accepted, native-matcher-rejected):
-    /// the trace executor path, with scratch loads/stores and ALU mix.
+    /// Generic counted loops (audit-accepted, native-matcher-rejected):
+    /// the `exec_op` batch driver, over bodies that retire whole
+    /// iterations, defer to a device mid-batch, and trap mid-batch.
     #[test]
     fn generic_counted_loops_kernels_on_off_bit_identical(
+        body in arb_generic_body(),
         count in 1u32..200,
         stride in prop_oneof![Just(4u32), Just(8u32)],
         bias in -16i32..16,
     ) {
-        // x10 accumulates, x11 walks scratch, x28 counts down.
-        let mut v = Vec::new();
-        v.extend(li(Reg(11), layout::SCRATCH_BASE + 0x1000));
-        v.extend(li(T3, count));
-        let entry = 4 * v.len() as u32;
-        v.push(Inst::Load { op: LoadOp::Lw, rd: Reg(10), rs1: Reg(11), imm: 0 });
-        v.push(addi(Reg(10), Reg(10), bias));
-        v.push(Inst::Op { op: AluOp::Xor, rd: Reg(12), rs1: Reg(10), rs2: T3 });
-        v.push(Inst::Store { op: StoreOp::Sw, rs1: Reg(11), rs2: Reg(12), imm: 0 });
-        v.push(addi(Reg(11), Reg(11), stride as i32));
-        v.push(addi(T3, T3, -1));
-        v.push(Inst::Branch {
-            op: BranchOp::Ne,
-            rs1: T3,
-            rs2: Reg(0),
-            imm: entry as i32 - 4 * v.len() as i32,
-        });
-        v.push(Inst::Ebreak);
+        let sdram_size = SystemConfig::default().sdram_size;
+        let (v, entry) = generic_program(body, count, stride, bias, sdram_size);
         for mode in modes() {
             let run = |kernels: bool| {
                 let (sys, res, registered) = run_dense(
@@ -365,7 +486,7 @@ proptest! {
             };
             let on = run(true);
             let off = run(false);
-            assert_identical(&on, &off, v.len(), &format!("generic {mode:?}"));
+            assert_identical(&on, &off, v.len(), &format!("generic {body:?} {mode:?}"));
         }
     }
 
