@@ -29,6 +29,7 @@ use izhi_programs::scenario::{self, ScenarioParams, Workload};
 use izhi_programs::template;
 use izhi_sim::{FaultPlan, SchedMode, TimingModel};
 
+use crate::json::Json;
 use crate::supervise::{self, panic_message, RunErrorKind, SuperviseConfig};
 
 /// A scheduling mode under a battery label.
@@ -438,39 +439,31 @@ pub fn check_rows(rows: &[BatteryRow]) -> Result<(), String> {
 
 /// Render rows as the `"battery"` JSON array of a BENCH file. Each entry
 /// carries a stable `key` the CI gate matches committed baselines against.
-pub fn rows_json(rows: &[BatteryRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"scenario\": \"{}\", \"seed\": {}, \"sched\": \"{}\", \
-             \"timing\": \"{}\", \"quantum\": {}, \"wall_s\": {:.6}, \
-             \"sim_cycles\": {}, \"sim_instret\": {}, \"spikes\": {}, \
-             \"raster_hash\": \"{:#018x}\", \"verified\": {}",
-            r.key(),
-            r.scenario,
-            r.seed,
-            r.sched,
-            r.timing,
-            r.quantum,
-            r.wall_s,
-            r.sim_cycles,
-            r.sim_instret,
-            r.spikes,
-            r.raster_hash,
-            r.verified,
-        );
+pub fn rows_json(rows: &[BatteryRow]) -> Json {
+    let rows = rows.iter().map(|r| {
+        let mut fields = vec![
+            ("key", r.key().into()),
+            ("scenario", r.scenario.as_str().into()),
+            ("seed", r.seed.into()),
+            ("sched", r.sched.into()),
+            ("timing", r.timing.into()),
+            ("quantum", r.quantum.into()),
+            ("wall_s", Json::fixed(r.wall_s, 6)),
+            ("sim_cycles", r.sim_cycles.into()),
+            ("sim_instret", r.sim_instret.into()),
+            ("spikes", r.spikes.into()),
+            ("raster_hash", format!("{:#018x}", r.raster_hash).into()),
+            ("verified", r.verified.into()),
+        ];
         if let Some(w) = r.weight_hash {
-            let _ = write!(out, ", \"weight_hash\": \"{w:#018x}\"");
+            fields.push(("weight_hash", format!("{w:#018x}").into()));
         }
         if let Some(kind) = r.error_kind {
-            let _ = write!(out, ", \"error_kind\": \"{}\"", kind.label());
+            fields.push(("error_kind", kind.label().into()));
         }
-        out.push('}');
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
+        Json::obj(fields)
+    });
+    Json::Arr(rows.collect())
 }
 
 /// Render a human-readable battery table.
@@ -576,12 +569,18 @@ mod tests {
         let mut r = row("net8020_stdp", 21, "exact", 0x1234, true);
         r.weight_hash = Some(0xBEEF);
         let json = rows_json(&[r]);
-        assert!(
-            json.contains("\"weight_hash\": \"0x000000000000beef\""),
+        assert_eq!(
+            json.as_arr().unwrap()[0]
+                .get("weight_hash")
+                .and_then(Json::as_str),
+            Some("0x000000000000beef"),
             "{json}"
         );
         let plain = rows_json(&[row("net8020", 5, "exact", 0x1, true)]);
-        assert!(!plain.contains("weight_hash"), "non-plastic rows omit it");
+        assert!(
+            plain.as_arr().unwrap()[0].get("weight_hash").is_none(),
+            "non-plastic rows omit it"
+        );
     }
 
     #[test]
@@ -605,10 +604,19 @@ mod tests {
     #[test]
     fn json_rows_carry_stable_keys_and_timing() {
         let rows = vec![row("net8020", 5, "relaxed-est", 0x1234, true)];
-        let json = rows_json(&rows);
-        assert!(json.contains("\"key\": \"net8020:5:relaxed-est\""));
-        assert!(json.contains("\"timing\": \"unit\""));
-        assert!(json.contains("\"verified\": true"));
+        // Written and parsed back, as the gate reads a committed file.
+        let json = Json::parse(&rows_json(&rows).to_string()).unwrap();
+        let row = &json.as_arr().unwrap()[0];
+        assert_eq!(
+            row.get("key").and_then(Json::as_str),
+            Some("net8020:5:relaxed-est")
+        );
+        assert_eq!(row.get("timing").and_then(Json::as_str), Some("unit"));
+        assert_eq!(row.get("verified"), Some(&Json::Bool(true)));
+        assert_eq!(
+            row.get("raster_hash").and_then(Json::as_str),
+            Some("0x0000000000001234")
+        );
     }
 
     #[test]

@@ -69,33 +69,38 @@
 //!
 //! ```text
 //! cargo run --release --bin perf_baseline -- [out.json]
-//!     [--check baseline.json] [--min-ratio 0.85] [--battery-only]
+//!     [--check baseline.json] [--min-ratio 0.85]
 //! ```
 //!
-//! Writes `BENCH_10.json` (or the given path). With `--check`, the
-//! single-core `speedup_vs_seed` entries of the fresh measurement are
-//! compared against the committed baseline file (exit non-zero if any
-//! entry fell below `min-ratio` × its baseline value), the headline
-//! single-core entries must additionally clear the absolute
-//! [`izhi_bench::gate::SINGLE_CORE_FLOOR`], the relaxed single-core rows
-//! must clear the kernel-offload gate
-//! ([`izhi_bench::gate::RELAXED_SINGLE_CORE_FLOOR`] on the quick row and
-//! [`izhi_bench::gate::KERNEL_SPEEDUP_FLOOR`] for every kernel-on vs
-//! kernel-off pair), every battery key of the
-//! baseline must be present and verified in the fresh run, and — when
-//! the baseline carries the sections — every `estimated_accuracy`
-//! scenario must reproduce a ratio inside the
-//! `ACCURACY_LO..=ACCURACY_HI` band of [`izhi_bench::gate`], the
-//! `battery_throughput` experiment must clear its floor, and the
-//! `instret_reduction` of the relaxation pass on the quick 80-20 row
-//! must clear [`izhi_bench::gate::INSTRET_REDUCTION_FLOOR`]. That set
-//! is the CI perf-regression gate. `--battery-only` runs and gates
-//! just the battery rows (the CI smoke job).
+//! Writes `BENCH_10.json` (or the given path) with the crate's JSON
+//! writer ([`izhi_bench::json`]): the figures the gate judges at full
+//! precision, display-only timings rounded. With `--check`, the baseline
+//! is read and parsed once, before anything is measured: a missing file,
+//! invalid JSON, or a gated section that is missing or garbled exits 2 at
+//! once. After the run every row of the gate table
+//! ([`izhi_bench::gate::GATES`]) judges the fresh document against the
+//! baseline, and any failure exits 1: the single-core speedups must hold
+//! `min-ratio` × their baseline values and clear the absolute floors
+//! ([`izhi_bench::gate::SINGLE_CORE_FLOOR`] for the headline rows,
+//! [`izhi_bench::gate::RELAXED_SINGLE_CORE_FLOOR`] for the relaxed quick
+//! row, [`izhi_bench::gate::KERNEL_SPEEDUP_FLOOR`] for every kernel-on vs
+//! kernel-off pair); every baseline `instret_reduction` workload must be
+//! reproduced, the quick row clearing
+//! [`izhi_bench::gate::INSTRET_REDUCTION_FLOOR`]; every battery key of
+//! the baseline must be present and verified; every `estimated_accuracy`
+//! scenario must stay inside the `ACCURACY_LO..=ACCURACY_HI` band (or
+//! within `ACCURACY_REL`× of an out-of-band baseline); the service burst
+//! must hold its guarantees; and `battery_throughput` must clear its
+//! floor. A section missing from the baseline fails; it is never skipped.
+//! With `BENCH_CMP_ONLY=1` only the seed-vs-live rows run, and only the
+//! `speedup_vs_seed` and `instret_reduction` rows are gated.
 
-use std::fmt::Write as _;
+use std::process::exit;
 use std::time::Instant;
 
 use izhi_bench::battery::{self, BatteryRow, BatteryRunner, BatterySpec};
+use izhi_bench::gate::{self, Gate, Rule, GATES};
+use izhi_bench::json::Json;
 use izhi_bench::seedsim;
 use izhi_bench::serve::{self, LoadReport};
 use izhi_isa::Assembler;
@@ -113,6 +118,9 @@ const REPS: usize = 5;
 const SESSIONS: usize = 5;
 /// Interleaved repetitions for the (expensive) Sudoku rows.
 const SUDOKU_REPS: usize = 3;
+/// Row-name suffixes of the live rows of [`compare_rows_1core`], in
+/// order after the seed row.
+const SUFFIXES_1CORE: [&str; 5] = ["", "_norelax", "_nosb", "_relaxed", "_relaxed_nokernel"];
 
 /// One measured workload.
 struct Row {
@@ -136,12 +144,20 @@ impl Row {
     fn instr_per_s(&self) -> f64 {
         self.sim_instret as f64 / self.wall_s
     }
+}
 
-    fn keep_best(self, best: &mut Option<Row>) {
-        if best.as_ref().is_none_or(|b| self.wall_s < b.wall_s) {
-            *best = Some(self);
+/// Run `reps` interleaved repetitions of a set of rows and keep, row by
+/// row, the fastest run.
+fn best_of<const N: usize>(reps: usize, mut run: impl FnMut() -> [Row; N]) -> [Row; N] {
+    let mut best: [Option<Row>; N] = std::array::from_fn(|_| None);
+    for _ in 0..reps {
+        for (best, row) in best.iter_mut().zip(run()) {
+            if best.as_ref().is_none_or(|b| row.wall_s < b.wall_s) {
+                *best = Some(row);
+            }
         }
     }
+    best.map(|b| b.expect("at least one repetition"))
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
@@ -321,16 +337,9 @@ fn engine_asm(cfg: &EngineConfig) -> String {
 /// raster tick), and the `nokernel` row must be bit-identical to the
 /// `relaxed` one (cycles, instret, full spike log): kernel offload is a
 /// dispatch optimisation, never a semantic one.
-struct CmpRows1 {
-    seed: Row,
-    live: Row,
-    norelax: Row,
-    nosb: Row,
-    relaxed: Row,
-    nokernel: Row,
-}
-
-fn compare_rows_1core(name: &str, n: usize, ticks: u32) -> CmpRows1 {
+///
+/// Returns `[seed, live, norelax, nosb, relaxed, nokernel]`.
+fn compare_rows_1core(name: &str, n: usize, ticks: u32) -> [Row; 6] {
     let params = ScenarioParams::default()
         .with_n(n)
         .with_ticks(ticks)
@@ -350,13 +359,7 @@ fn compare_rows_1core(name: &str, n: usize, ticks: u32) -> CmpRows1 {
     let wl_relaxed = configure(true, true, SchedMode::relaxed(), true);
     let wl_nokernel = configure(true, true, SchedMode::relaxed(), false);
     let asm = engine_asm(wl.cfg());
-    let mut seed_best: Option<Row> = None;
-    let mut live_best: Option<Row> = None;
-    let mut norelax_best: Option<Row> = None;
-    let mut nosb_best: Option<Row> = None;
-    let mut relaxed_best: Option<Row> = None;
-    let mut nokernel_best: Option<Row> = None;
-    for _ in 0..REPS {
+    best_of(REPS, || {
         let seed = seed_run(name, &asm, wl.cfg(), wl.image());
         let live = live_run(name, "exact", &*wl);
         let norelax = live_run(&format!("{name}_norelax"), "exact", &*wl_norelax);
@@ -430,21 +433,8 @@ fn compare_rows_1core(name: &str, n: usize, ticks: u32) -> CmpRows1 {
             relaxed.spike_log, nokernel.spike_log,
             "{name}: kernel offload changed the spike log"
         );
-        seed.keep_best(&mut seed_best);
-        live.keep_best(&mut live_best);
-        norelax.keep_best(&mut norelax_best);
-        nosb.keep_best(&mut nosb_best);
-        relaxed.keep_best(&mut relaxed_best);
-        nokernel.keep_best(&mut nokernel_best);
-    }
-    CmpRows1 {
-        seed: seed_best.unwrap(),
-        live: live_best.unwrap(),
-        norelax: norelax_best.unwrap(),
-        nosb: nosb_best.unwrap(),
-        relaxed: relaxed_best.unwrap(),
-        nokernel: nokernel_best.unwrap(),
-    }
+        [seed, live, norelax, nosb, relaxed, nokernel]
+    })
 }
 
 /// Interleaved seed-vs-live measurement of the dual-core 80-20 setup:
@@ -452,8 +442,8 @@ fn compare_rows_1core(name: &str, n: usize, ticks: u32) -> CmpRows1 {
 /// loop) and live relaxed (the headline multi-core configuration) run
 /// back-to-back each rep. All three must produce the identical spike
 /// raster *as a set*; cycle counts legitimately differ between the three
-/// schedules and are reported per row.
-fn compare_rows_2core(name: &str, n: usize, ticks: u32) -> (Row, Row, Row) {
+/// schedules and are reported per row. Returns `[seed, relaxed, exact]`.
+fn compare_rows_2core(name: &str, n: usize, ticks: u32) -> [Row; 3] {
     let params = ScenarioParams::default()
         .with_n(n)
         .with_ticks(ticks)
@@ -463,10 +453,7 @@ fn compare_rows_2core(name: &str, n: usize, ticks: u32) -> (Row, Row, Row) {
     let mut relaxed_wl = build_scenario("net8020", params);
     relaxed_wl.cfg_mut().system.sched = SchedMode::relaxed();
     let asm = engine_asm(exact_wl.cfg());
-    let mut seed_best: Option<Row> = None;
-    let mut relaxed_best: Option<Row> = None;
-    let mut exact_best: Option<Row> = None;
-    for _ in 0..REPS {
+    best_of(REPS, || {
         let seed = seed_run(name, &asm, exact_wl.cfg(), exact_wl.image());
         let relaxed = live_run(name, "relaxed", &*relaxed_wl);
         let exact = live_run(&format!("{name}_exact"), "exact", &*exact_wl);
@@ -481,22 +468,16 @@ fn compare_rows_2core(name: &str, n: usize, ticks: u32) -> (Row, Row, Row) {
             sorted(&exact.spike_log),
             "{name}: exact raster drift"
         );
-        seed.keep_best(&mut seed_best);
-        relaxed.keep_best(&mut relaxed_best);
-        exact.keep_best(&mut exact_best);
-    }
-    (
-        seed_best.unwrap(),
-        relaxed_best.unwrap(),
-        exact_best.unwrap(),
-    )
+        [seed, relaxed, exact]
+    })
 }
 
 /// Barrier-light 80-20 sweep: one independent population per core, no
 /// per-tick barriers. The dual-core relaxed row is the showcase
 /// configuration; the single-core exact row (same block-diagonal image in
-/// one chunk) is its reference. Rasters must match across both.
-fn sweep_rows(name: &str, n_per_core: usize, ticks: u32) -> (Row, Row) {
+/// one chunk) is its reference. Rasters must match across both. Returns
+/// `[1-core exact, 2-core relaxed]`.
+fn sweep_rows(name: &str, n_per_core: usize, ticks: u32) -> [Row; 2] {
     let params = ScenarioParams::default()
         .with_n(n_per_core)
         .with_ticks(ticks)
@@ -508,9 +489,7 @@ fn sweep_rows(name: &str, n_per_core: usize, ticks: u32) -> (Row, Row) {
     let mut one_cfg = wl.cfg().clone();
     one_cfg.n_cores = 1;
     one_cfg.system.n_cores = 1;
-    let mut one_best: Option<Row> = None;
-    let mut two_best: Option<Row> = None;
-    for _ in 0..REPS {
+    best_of(REPS, || {
         let (wall_s, res1) =
             time(|| run_workload(&one_cfg, wl.image(), 8_000_000_000).expect("sweep 1-core run"));
         let one = row_from(&format!("{name}_1core"), "exact", wall_s, &res1);
@@ -521,17 +500,15 @@ fn sweep_rows(name: &str, n_per_core: usize, ticks: u32) -> (Row, Row) {
             sorted(&two.spike_log),
             "{name}: partitioning changed the sweep raster"
         );
-        one.keep_best(&mut one_best);
-        two.keep_best(&mut two_best);
-    }
-    (one_best.unwrap(), two_best.unwrap())
+        [one, two]
+    })
 }
 
 /// The quick-scale instance of the paper's Table VI flow: one hard puzzle
 /// eased by restoring half the blanks, 2500-tick budget. Returns the
 /// single-core exact row, the dual-core relaxed row and the dual-core
 /// exact row, interleaved best-of-[`SUDOKU_REPS`]; all rasters must match.
-fn sudoku_rows() -> (Row, Row, Row) {
+fn sudoku_rows() -> [Row; 3] {
     let run_one = |name: &str, sched: &'static str, cores: u32, mode: SchedMode| -> Row {
         let mut wl = build_scenario(
             "sudoku",
@@ -548,10 +525,7 @@ fn sudoku_rows() -> (Row, Row, Row) {
         let (wall_s, res) = time(|| sudoku.solve(50).expect("sudoku run"));
         row_from(name, sched, wall_s, &res.workload)
     };
-    let mut one_best: Option<Row> = None;
-    let mut relaxed_best: Option<Row> = None;
-    let mut exact_best: Option<Row> = None;
-    for _ in 0..SUDOKU_REPS {
+    best_of(SUDOKU_REPS, || {
         let one = run_one("sudoku_quick_1core", "exact", 1, SchedMode::Exact);
         let relaxed = run_one("sudoku_quick_2core", "relaxed", 2, SchedMode::relaxed());
         let exact = run_one("sudoku_quick_2core_exact", "exact", 2, SchedMode::Exact);
@@ -566,105 +540,78 @@ fn sudoku_rows() -> (Row, Row, Row) {
             sorted(&exact.spike_log),
             "sudoku exact raster drift"
         );
-        one.keep_best(&mut one_best);
-        relaxed.keep_best(&mut relaxed_best);
-        exact.keep_best(&mut exact_best);
-    }
-    (
-        one_best.unwrap(),
-        relaxed_best.unwrap(),
-        exact_best.unwrap(),
-    )
+        [one, relaxed, exact]
+    })
 }
 
-fn json(
+/// The BENCH document: every measured section. The figures the gate
+/// judges keep full precision; display-only timings are rounded.
+fn report(
     rows: &[Row],
     speedups: &[(String, f64)],
     reductions: &[(String, f64)],
     battery: &[BatteryRow],
     accuracy: &[(String, f64)],
     service: Option<&LoadReport>,
-    throughput: Option<&izhi_bench::gate::ThroughputSummary>,
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"izhirisc-perf-baseline-v11\",\n");
-    let _ = writeln!(
-        out,
-        "  \"methodology\": \"seed rows: frozen seed interpreter, interleaved with live rows in-process, best of {REPS} reps x {SESSIONS} sessions; 1-core workloads produce a headline row (superblock interpreter + assembler relaxation on), a _norelax diagnostic row (relaxation off; asserted cycle/instret/spike-log identical to the seed — the superblock interpreter is timing-transparent) and a _nosb diagnostic row (superblocks off; asserted bit-identical to the headline row — fusion is dispatch-only), a _relaxed row (SchedMode::Relaxed with kernel offload on — the configuration relaxed sweeps ship; asserted seed spike-log word identity and headline-row instret identity) and a _relaxed_nokernel row (kernels forced off; asserted cycle/instret/spike-log bit-identical to the _relaxed row — kernel offload is dispatch-only); the headline row asserts seed spike-log word identity plus strictly fewer retired instructions; instret_reduction records the headline row's fractional instret saving vs the seed (deterministic, gated on the quick row); 2-core rows assert spike-raster set identity across seed/exact/relaxed schedules; relaxed rows run SchedMode::Relaxed (clock = 1 cycle per instruction, blocking barriers) and report that clock; battery rows: every registered scenario at quick scale, seeds x (sched x timing) combinations sharded across host threads, raster-hash identity asserted across all combinations and each scenario's verification hook recorded; plastic (STDP) rows additionally record an order-independent hash of the final weight state, asserted bit-identical across all combinations; timing records the row's clock (exact = cycle-accurate, unit = 1 cycle/instruction, estimated = static per-op-class CostTable costs); estimated_accuracy: per scenario, estimated-vs-exact sim-cycle ratio summed over battery seeds (the gate bounds it); service: in-process scenario-service burst (bounded queue, supervised workers, two injected faults) — the gate requires health_ok/backpressure_hinted/failure_isolated and positive throughput, never an absolute jobs/s; battery_throughput: the repeat-seed quick battery (every scenario, first battery seed, {THROUGHPUT_TICKS}-tick service-shaped jobs, {THROUGHPUT_REPEATS} repeats) timed twice in-process — cold-building every run vs instantiating from the initially cleared template cache — with per-run hash/cycle/instret identity asserted between the arms; the gate requires cached/cold >= the floor (a same-host ratio, not an absolute runs/s)\","
-    );
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"sched\": \"{}\", \"wall_s\": {:.6}, \"sim_cycles\": {}, \
-             \"sim_instret\": {}, \"spikes\": {}, \"sim_cycles_per_s\": {:.0}, \
-             \"sim_instr_per_s\": {:.0}}}",
-            r.name,
-            r.sched,
-            r.wall_s,
-            r.sim_cycles,
-            r.sim_instret,
-            r.spikes,
-            r.cycles_per_s(),
-            r.instr_per_s(),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"battery\": {},", battery::rows_json(battery));
+    throughput: Option<&ThroughputSummary>,
+) -> Json {
+    let named = |entries: &[(String, f64)]| {
+        Json::obj(entries.iter().map(|(n, v)| (n.as_str(), (*v).into())))
+    };
+    let workloads: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("name", r.name.as_str().into()),
+                ("sched", r.sched.into()),
+                ("wall_s", Json::fixed(r.wall_s, 6)),
+                ("sim_cycles", r.sim_cycles.into()),
+                ("sim_instret", r.sim_instret.into()),
+                ("spikes", r.spikes.into()),
+                ("sim_cycles_per_s", Json::fixed(r.cycles_per_s(), 0)),
+                ("sim_instr_per_s", Json::fixed(r.instr_per_s(), 0)),
+            ])
+        })
+        .collect();
+    let mut doc: Vec<(&str, Json)> = vec![
+        ("schema", "izhirisc-perf-baseline-v11".into()),
+        ("methodology", format!("seed rows: frozen seed interpreter, interleaved with live rows in-process, best of {REPS} reps x {SESSIONS} sessions; 1-core workloads produce a headline row (superblock interpreter + assembler relaxation on), a _norelax diagnostic row (relaxation off; asserted cycle/instret/spike-log identical to the seed — the superblock interpreter is timing-transparent) and a _nosb diagnostic row (superblocks off; asserted bit-identical to the headline row — fusion is dispatch-only), a _relaxed row (SchedMode::Relaxed with kernel offload on — the configuration relaxed sweeps ship; asserted seed spike-log word identity and headline-row instret identity) and a _relaxed_nokernel row (kernels forced off; asserted cycle/instret/spike-log bit-identical to the _relaxed row — kernel offload is dispatch-only); the headline row asserts seed spike-log word identity plus strictly fewer retired instructions; instret_reduction records the headline row's fractional instret saving vs the seed (deterministic, gated on the quick row); 2-core rows assert spike-raster set identity across seed/exact/relaxed schedules; relaxed rows run SchedMode::Relaxed (clock = 1 cycle per instruction, blocking barriers) and report that clock; battery rows: every registered scenario at quick scale, seeds x (sched x timing) combinations sharded across host threads, raster-hash identity asserted across all combinations and each scenario's verification hook recorded; plastic (STDP) rows additionally record an order-independent hash of the final weight state, asserted bit-identical across all combinations; timing records the row's clock (exact = cycle-accurate, unit = 1 cycle/instruction, estimated = static per-op-class CostTable costs); estimated_accuracy: per scenario, estimated-vs-exact sim-cycle ratio summed over battery seeds (the gate bounds it); service: in-process scenario-service burst (bounded queue, supervised workers, two injected faults) — the gate requires health_ok/backpressure_hinted/failure_isolated and positive throughput, never an absolute jobs/s; battery_throughput: the repeat-seed quick battery (every scenario, first battery seed, {THROUGHPUT_TICKS}-tick service-shaped jobs, {THROUGHPUT_REPEATS} repeats) timed twice in-process — cold-building every run vs instantiating from the initially cleared template cache — with per-run hash/cycle/instret identity asserted between the arms; the gate requires cached/cold >= the floor (a same-host ratio, not an absolute runs/s); gated figures are written at full precision").into()),
+        ("workloads", Json::Arr(workloads)),
+        ("battery", battery::rows_json(battery)),
+    ];
     if let Some(s) = service {
-        let _ = writeln!(
-            out,
-            "  \"service\": {{\"jobs\": {}, \"accepted\": {}, \"rejected\": {}, \
-             \"completed\": {}, \"failed\": {}, \"throughput_jobs_per_s\": {:.2}, \
-             \"health_ok\": {}, \"backpressure_hinted\": {}, \"failure_isolated\": {}}},",
-            s.submitted,
-            s.accepted,
-            s.rejected,
-            s.completed,
-            s.failed,
-            s.throughput_jobs_per_s,
-            s.health_ok == s.health_checks,
-            s.backpressure_hinted,
-            serve::failure_isolated(s),
-        );
+        doc.push((
+            "service",
+            Json::obj([
+                ("jobs", s.submitted.into()),
+                ("accepted", s.accepted.into()),
+                ("rejected", s.rejected.into()),
+                ("completed", s.completed.into()),
+                ("failed", s.failed.into()),
+                ("throughput_jobs_per_s", s.throughput_jobs_per_s.into()),
+                ("health_ok", (s.health_ok == s.health_checks).into()),
+                ("backpressure_hinted", s.backpressure_hinted.into()),
+                ("failure_isolated", serve::failure_isolated(s).into()),
+            ]),
+        ));
     }
     if let Some(t) = throughput {
-        let _ = writeln!(
-            out,
-            "  \"battery_throughput\": {{\"runs\": {}, \"ticks\": {THROUGHPUT_TICKS}, \
-             \"repeats\": {THROUGHPUT_REPEATS}, \"cold_runs_per_s\": {:.2}, \
-             \"cached_runs_per_s\": {:.2}, \"speedup\": {:.3}}},",
-            t.runs,
-            t.cold_runs_per_s,
-            t.cached_runs_per_s,
-            t.speedup(),
-        );
+        doc.push((
+            "battery_throughput",
+            Json::obj([
+                ("runs", t.runs.into()),
+                ("ticks", THROUGHPUT_TICKS.into()),
+                ("repeats", THROUGHPUT_REPEATS.into()),
+                ("cold_runs_per_s", t.cold_runs_per_s.into()),
+                ("cached_runs_per_s", t.cached_runs_per_s.into()),
+                ("speedup", t.speedup().into()),
+            ]),
+        ));
     }
-    let _ = writeln!(out, "  \"estimated_accuracy\": {{");
-    for (i, (name, r)) in accuracy.iter().enumerate() {
-        let _ = write!(out, "    \"{name}\": {r:.3}");
-        out.push_str(if i + 1 < accuracy.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  }},");
-    if !reductions.is_empty() {
-        let _ = writeln!(out, "  \"instret_reduction\": {{");
-        for (i, (name, r)) in reductions.iter().enumerate() {
-            let _ = write!(out, "    \"{name}\": {r:.4}");
-            out.push_str(if i + 1 < reductions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = writeln!(out, "  }},");
-    }
-    let _ = writeln!(out, "  \"speedup_vs_seed\": {{");
-    for (i, (name, s)) in speedups.iter().enumerate() {
-        let _ = write!(out, "    \"{name}\": {s:.3}");
-        out.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
-    out
+    doc.push(("estimated_accuracy", named(accuracy)));
+    doc.push(("instret_reduction", named(reductions)));
+    doc.push(("speedup_vs_seed", named(speedups)));
+    Json::obj(doc)
 }
 
 /// Run the quick scenario battery: every registered scenario, its battery
@@ -684,116 +631,6 @@ fn battery_rows() -> Vec<BatteryRow> {
         panic!("scenario battery failed: {e}");
     }
     rows
-}
-
-/// The CI regression gate (see [`izhi_bench::gate`] for the testable
-/// core): every single-core `speedup_vs_seed` entry of the committed
-/// baseline must be reproduced at `min_ratio` × its value or better, and
-/// a baseline entry missing from the fresh measurement is an error, not a
-/// silent pass. Multi-core / relaxed entries are informational only —
-/// they depend on host parallel/throughput behaviour CI runners don't
-/// promise.
-fn check_gate(fresh: &[(String, f64)], baseline_path: &str, min_ratio: f64) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    println!("\nperf gate vs {baseline_path} (min ratio {min_ratio:.2}):");
-    let report = izhi_bench::gate::check_gate(fresh, &text, min_ratio);
-    for e in &report.checked {
-        println!(
-            "  {}: {:.3}x vs baseline {:.3}x (ratio {:.3})",
-            e.name,
-            e.fresh,
-            e.baseline,
-            e.ratio()
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The absolute-floor side of the CI gate (core in [`izhi_bench::gate`]):
-/// every headline single-core speedup (the `*_1core` entries, excluding
-/// the `_norelax`/`_nosb` diagnostic rows) must reach
-/// [`izhi_bench::gate::SINGLE_CORE_FLOOR`] outright — not merely hold its
-/// ratio vs a committed baseline, which would let the floor erode one
-/// re-baseline at a time.
-fn check_floor_gate(fresh: &[(String, f64)]) -> bool {
-    let floor = izhi_bench::gate::SINGLE_CORE_FLOOR;
-    let report = izhi_bench::gate::check_floor_gate(fresh, floor);
-    println!("\nabsolute single-core floor ({floor:.1}x):");
-    for e in &report.checked {
-        println!("  {}: {:.3}x", e.name, e.fresh);
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The kernel-offload side of the CI gate (core in [`izhi_bench::gate`]):
-/// the relaxed quick row must clear the absolute
-/// [`izhi_bench::gate::RELAXED_SINGLE_CORE_FLOOR`] and every `*_relaxed`
-/// row must beat its `*_relaxed_nokernel` twin by at least
-/// [`izhi_bench::gate::KERNEL_SPEEDUP_FLOOR`]. Both are absolute,
-/// same-host ratios — no committed baseline is consulted.
-fn check_kernel_gate(fresh: &[(String, f64)]) -> bool {
-    let relaxed_floor = izhi_bench::gate::RELAXED_SINGLE_CORE_FLOOR;
-    let kernel_floor = izhi_bench::gate::KERNEL_SPEEDUP_FLOOR;
-    let report = izhi_bench::gate::check_kernel_gate(fresh, relaxed_floor, kernel_floor);
-    println!(
-        "\nkernel-offload gate (relaxed quick floor {relaxed_floor:.1}x, \
-         kernel-on/off floor {kernel_floor:.2}x):"
-    );
-    for e in &report.checked {
-        println!("  {}: kernel-on/off {:.3}x", e.name, e.fresh);
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The relaxation side of the CI gate (core in [`izhi_bench::gate`]):
-/// every workload of the baseline's `instret_reduction` section must be
-/// reproduced, and the quick 80-20 row's reduction must reach
-/// [`izhi_bench::gate::INSTRET_REDUCTION_FLOOR`]. The reduction is a
-/// deterministic property of the emitted code, so this gate carries no
-/// host noise at all. Baselines predating the relaxation pass (schema <=
-/// v9) skip it.
-fn check_instret_gate(reductions: &[(String, f64)], baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    if !izhi_bench::gate::has_instret_reduction(&text) {
-        println!("instret gate: baseline {baseline_path} predates assembler relaxation — skipped");
-        return true;
-    }
-    let floor = izhi_bench::gate::INSTRET_REDUCTION_FLOOR;
-    let report = izhi_bench::gate::check_instret_gate(reductions, &text, floor);
-    println!("instret-reduction gate vs {baseline_path} (quick-row floor {floor:.2}):");
-    for e in &report.checked {
-        println!(
-            "  {}: {:.2}% fewer retired instructions (baseline {:.2}%)",
-            e.name,
-            e.fresh * 100.0,
-            e.baseline * 100.0
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
 }
 
 /// Per-scenario estimated-vs-exact simulated-cycle ratio, from the
@@ -820,63 +657,6 @@ fn estimated_accuracy(battery: &[BatteryRow]) -> Vec<(String, f64)> {
     out
 }
 
-/// The estimated-accuracy side of the CI gate (core in
-/// [`izhi_bench::gate`]): every scenario of the baseline's
-/// `estimated_accuracy` section must reproduce a ratio inside the allowed
-/// band. Baselines predating the section (schema <= v5) skip this gate.
-fn check_accuracy_gate(accuracy: &[(String, f64)], baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    if !izhi_bench::gate::has_estimated_accuracy(&text) {
-        println!("accuracy gate: baseline {baseline_path} predates estimated timing — skipped");
-        return true;
-    }
-    let (lo, hi) = (izhi_bench::gate::ACCURACY_LO, izhi_bench::gate::ACCURACY_HI);
-    let report = izhi_bench::gate::check_accuracy_gate(accuracy, &text, lo, hi);
-    println!(
-        "accuracy gate vs {baseline_path} (band [{lo:.2}, {hi:.2}]): {} scenarios checked",
-        report.checked.len()
-    );
-    for e in &report.checked {
-        println!(
-            "  {}: estimated/exact cycle ratio {:.3} (baseline {:.3})",
-            e.name, e.fresh, e.baseline
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The battery side of the CI gate (core in [`izhi_bench::gate`]): every
-/// battery key of the committed baseline must be present *and* verified in
-/// the fresh run.
-fn check_battery_gate(battery: &[BatteryRow], baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let fresh: Vec<(String, bool)> = battery.iter().map(|r| (r.key(), r.verified)).collect();
-    let report = izhi_bench::gate::check_battery_gate(&fresh, &text);
-    println!(
-        "battery gate vs {baseline_path}: {} keys checked",
-        report.checked.len()
-    );
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
 /// Number of jobs in the service burst (queue cap 8, 2 workers — far
 /// past capacity, so backpressure must fire).
 const SERVICE_BURST_JOBS: usize = 40;
@@ -884,46 +664,6 @@ const SERVICE_BURST_JOBS: usize = 40;
 /// Run the in-process service burst (see [`serve::service_benchmark`]).
 fn service_burst() -> LoadReport {
     serve::service_benchmark(SERVICE_BURST_JOBS).expect("service burst failed")
-}
-
-fn service_summary(r: &LoadReport) -> izhi_bench::gate::ServiceSummary {
-    izhi_bench::gate::ServiceSummary {
-        completed: r.completed,
-        throughput_jobs_per_s: r.throughput_jobs_per_s,
-        health_ok: r.health_ok == r.health_checks,
-        backpressure_hinted: r.backpressure_hinted,
-        failure_isolated: serve::failure_isolated(r),
-    }
-}
-
-/// The service side of the CI gate (core in [`izhi_bench::gate`]): when
-/// the baseline carries a `service` section, the fresh burst must exist
-/// and every service guarantee must hold. Baselines predating the
-/// service (schema <= v6) skip this gate.
-fn check_service_gate(service: Option<&LoadReport>, baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    if !izhi_bench::gate::has_service(&text) {
-        println!("service gate: baseline {baseline_path} predates the scenario service — skipped");
-        return true;
-    }
-    let summary = service.map(service_summary);
-    let report = izhi_bench::gate::check_service_gate(summary.as_ref(), &text);
-    for e in &report.checked {
-        println!(
-            "service gate vs {baseline_path}: {} {:.2} jobs/s (baseline {:.2}, informational)",
-            e.name, e.fresh, e.baseline
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
 }
 
 /// Repeats per scenario and arm of the template-throughput experiment.
@@ -946,10 +686,30 @@ fn throughput_params(sc: &scenario::Scenario) -> ScenarioParams {
         .with_seed(sc.battery_seeds[0])
 }
 
+/// The template-throughput experiment: the same repeat-seed quick
+/// battery timed twice, once cold-building every run and once
+/// instantiating from the template cache.
+struct ThroughputSummary {
+    /// Runs timed per arm (cold and cached each execute this many).
+    runs: usize,
+    /// Cold arm: build + run, no template cache.
+    cold_runs_per_s: f64,
+    /// Cached arm: template instantiation + run.
+    cached_runs_per_s: f64,
+}
+
+impl ThroughputSummary {
+    /// Cached / cold runs-per-second ratio (NaN when both are zero,
+    /// which the gate then fails on).
+    fn speedup(&self) -> f64 {
+        self.cached_runs_per_s / self.cold_runs_per_s
+    }
+}
+
 /// Measure the repeat-seed quick battery twice — cold-building every run
 /// vs instantiating from the (initially cleared) template cache — and
 /// assert the two arms bit-identical per run before reporting runs/s.
-fn battery_throughput() -> izhi_bench::gate::ThroughputSummary {
+fn battery_throughput() -> ThroughputSummary {
     let registry = scenario::registry();
     let mut cold_results: Vec<(&str, u64, u64, u64)> = Vec::new();
     let (cold_s, ()) = time(|| {
@@ -980,52 +740,73 @@ fn battery_throughput() -> izhi_bench::gate::ThroughputSummary {
         "template instantiation drifted from the cold build"
     );
     let runs = cold_results.len();
-    izhi_bench::gate::ThroughputSummary {
+    ThroughputSummary {
         runs,
         cold_runs_per_s: runs as f64 / cold_s,
         cached_runs_per_s: runs as f64 / cached_s,
     }
 }
 
-/// The throughput side of the CI gate (core in [`izhi_bench::gate`]):
-/// when the baseline carries a `battery_throughput` section, the fresh
-/// run must reproduce the experiment with the cached arm at least
-/// `THROUGHPUT_FLOOR` × the cold arm. Baselines predating run templates
-/// (schema <= v7) skip this gate.
-fn check_throughput_gate(
-    fresh: Option<&izhi_bench::gate::ThroughputSummary>,
-    baseline_path: &str,
-) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
+/// The sections a `BENCH_CMP_ONLY` run measures, and so the only ones it
+/// gates.
+const CMP_SECTIONS: [&str; 2] = ["speedup_vs_seed", "instret_reduction"];
+
+/// Read and parse the `--check` baseline and check that every section
+/// `gates` reads is present and well-formed; exit 2 otherwise, before
+/// anything is measured.
+fn load_baseline(path: &str, gates: &[Gate]) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read baseline {path}: {e}");
+        exit(2);
+    });
+    let doc = Json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("baseline {path} is not valid JSON: {e}");
+        exit(2);
+    });
+    let failures = gate::check_baseline(gates, &doc);
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("baseline {path}: {f}");
         }
-    };
-    if !izhi_bench::gate::has_battery_throughput(&text) {
-        println!("throughput gate: baseline {baseline_path} predates run templates — skipped");
-        return true;
+        exit(2);
     }
-    let floor = izhi_bench::gate::THROUGHPUT_FLOOR;
-    let report = izhi_bench::gate::check_throughput_gate(fresh, &text, floor);
-    for e in &report.checked {
+    doc
+}
+
+/// Run every gate row against the fresh document and print what each
+/// judged; whether all rows passed.
+fn run_gates(gates: &[Gate], fresh: &Json, baseline: &Json, min_ratio: f64) -> bool {
+    let mut ok = true;
+    for g in gates {
+        let report = gate::check(g, fresh, baseline, min_ratio);
         println!(
-            "throughput gate vs {baseline_path}: cached/cold {:.3}x (floor {floor:.1}x, baseline {:.3}x informational)",
-            e.fresh, e.baseline
+            "\ngate {} [{:?}]: {} checked",
+            g.section,
+            g.rule,
+            report.checked.len()
         );
+        // Flag rows (66 battery keys, the service booleans) report only
+        // their failures.
+        if g.rule != Rule::True {
+            for e in &report.checked {
+                match e.baseline {
+                    Some(b) => println!("  {}: {:.4} (baseline {b:.4})", e.name, e.fresh),
+                    None => println!("  {}: {:.4}", e.name, e.fresh),
+                }
+            }
+        }
+        for f in &report.failures {
+            println!("  {f}");
+        }
+        ok &= report.passed();
     }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
+    ok
 }
 
 fn main() {
     let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut min_ratio = 0.85f64;
-    let mut battery_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -1036,13 +817,12 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .expect("--min-ratio needs a number");
             }
-            "--battery-only" => battery_only = true,
             // Reject unknown flags loudly: a typoed `--check` silently
             // consumed as the output path would disable the CI gate while
             // staying green.
             flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`; usage: perf_baseline [out.json] [--check baseline.json] [--min-ratio R] [--battery-only]");
-                std::process::exit(2);
+                eprintln!("unknown flag `{flag}`; usage: perf_baseline [out.json] [--check baseline.json] [--min-ratio R]");
+                exit(2);
             }
             _ => out_path = Some(arg),
         }
@@ -1050,15 +830,16 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| "BENCH_10.json".into());
 
     // BENCH_CMP_ONLY=1 runs just the interleaved seed-vs-live rows (fast
-    // inner loop for performance work on the interpreter itself).
+    // inner loop for performance work on the interpreter itself), and
+    // gates just the sections those rows produce.
     let cmp_only = std::env::var_os("BENCH_CMP_ONLY").is_some();
-    if cmp_only && battery_only {
-        // Together they would skip both halves of the gate — a green run
-        // that checked nothing.
-        eprintln!("BENCH_CMP_ONLY and --battery-only are mutually exclusive");
-        std::process::exit(2);
-    }
-    let mut rows = if cmp_only || battery_only {
+    let gates: Vec<Gate> = GATES
+        .into_iter()
+        .filter(|g| !cmp_only || CMP_SECTIONS.contains(&g.section))
+        .collect();
+    let baseline = check_path.map(|path| load_baseline(&path, &gates));
+
+    let mut rows = if cmp_only {
         Vec::new()
     } else {
         vec![selftest_row()]
@@ -1066,71 +847,43 @@ fn main() {
     let mut speedups = Vec::new();
     let mut reductions = Vec::new();
 
-    if !battery_only {
-        for (name, n, ticks) in [
-            ("net8020_quick_1core", 200, 300u32),
-            ("net8020_paper_1core_100ms", 1000, 100),
-        ] {
-            let best = (0..SESSIONS)
-                .map(|_| compare_rows_1core(name, n, ticks))
-                .max_by(|a, b| {
-                    (a.seed.wall_s / a.live.wall_s).total_cmp(&(b.seed.wall_s / b.live.wall_s))
-                })
-                .expect("at least one session");
-            let CmpRows1 {
-                seed,
-                live,
-                norelax,
-                nosb,
-                relaxed,
-                nokernel,
-            } = best;
-            speedups.push((name.to_string(), seed.wall_s / live.wall_s));
-            speedups.push((format!("{name}_norelax"), seed.wall_s / norelax.wall_s));
-            speedups.push((format!("{name}_nosb"), seed.wall_s / nosb.wall_s));
-            speedups.push((format!("{name}_relaxed"), seed.wall_s / relaxed.wall_s));
-            speedups.push((
-                format!("{name}_relaxed_nokernel"),
-                seed.wall_s / nokernel.wall_s,
-            ));
-            reductions.push((
-                name.to_string(),
-                (seed.sim_instret - live.sim_instret) as f64 / seed.sim_instret as f64,
-            ));
-            rows.push(seed);
-            rows.push(live);
-            rows.push(norelax);
-            rows.push(nosb);
-            rows.push(relaxed);
-            rows.push(nokernel);
-        }
-
-        let name = "net8020_quick_2core";
-        let (seed, relaxed, exact) = (0..SESSIONS)
-            .map(|_| compare_rows_2core(name, 200, 300))
-            .max_by(|a, b| (a.0.wall_s / a.1.wall_s).total_cmp(&(b.0.wall_s / b.1.wall_s)))
+    for (name, n, ticks) in [
+        ("net8020_quick_1core", 200, 300u32),
+        ("net8020_paper_1core_100ms", 1000, 100),
+    ] {
+        let best = (0..SESSIONS)
+            .map(|_| compare_rows_1core(name, n, ticks))
+            .max_by(|a, b| (a[0].wall_s / a[1].wall_s).total_cmp(&(b[0].wall_s / b[1].wall_s)))
             .expect("at least one session");
-        speedups.push((name.to_string(), seed.wall_s / relaxed.wall_s));
-        speedups.push((format!("{name}_exact"), seed.wall_s / exact.wall_s));
-        rows.push(seed);
-        rows.push(relaxed);
-        rows.push(exact);
+        let [seed, live, ..] = &best;
+        for (row, suffix) in best.iter().skip(1).zip(SUFFIXES_1CORE) {
+            speedups.push((format!("{name}{suffix}"), seed.wall_s / row.wall_s));
+        }
+        reductions.push((
+            name.to_string(),
+            (seed.sim_instret - live.sim_instret) as f64 / seed.sim_instret as f64,
+        ));
+        rows.extend(best);
     }
 
-    if !cmp_only && !battery_only {
-        let (one, two) = sweep_rows("net8020_sweep_quick", 200, 300);
-        rows.push(one);
-        rows.push(two);
-        let (one, relaxed, exact) = sudoku_rows();
-        rows.push(one);
-        rows.push(relaxed);
-        rows.push(exact);
+    let name = "net8020_quick_2core";
+    let [seed, relaxed, exact] = (0..SESSIONS)
+        .map(|_| compare_rows_2core(name, 200, 300))
+        .max_by(|a, b| (a[0].wall_s / a[1].wall_s).total_cmp(&(b[0].wall_s / b[1].wall_s)))
+        .expect("at least one session");
+    speedups.push((name.to_string(), seed.wall_s / relaxed.wall_s));
+    speedups.push((format!("{name}_exact"), seed.wall_s / exact.wall_s));
+    rows.extend([seed, relaxed, exact]);
+
+    if !cmp_only {
+        rows.extend(sweep_rows("net8020_sweep_quick", 200, 300));
+        rows.extend(sudoku_rows());
     }
 
     let battery = if cmp_only { Vec::new() } else { battery_rows() };
     let accuracy = estimated_accuracy(&battery);
-    let service = (!cmp_only && !battery_only).then(service_burst);
-    let throughput = (!cmp_only && !battery_only).then(battery_throughput);
+    let service = (!cmp_only).then(service_burst);
+    let throughput = (!cmp_only).then(battery_throughput);
 
     println!(
         "{:<32} {:>11} {:>9} {:>14} {:>14} {:>12} {:>12}",
@@ -1189,41 +942,130 @@ fn main() {
             t.speedup(),
         );
     }
-    std::fs::write(
-        &out_path,
-        json(
-            &rows,
-            &speedups,
-            &reductions,
-            &battery,
-            &accuracy,
-            service.as_ref(),
-            throughput.as_ref(),
-        ),
-    )
-    .expect("write json");
+    let fresh = report(
+        &rows,
+        &speedups,
+        &reductions,
+        &battery,
+        &accuracy,
+        service.as_ref(),
+        throughput.as_ref(),
+    );
+    std::fs::write(&out_path, fresh.pretty()).expect("write json");
     println!("\nwrote {out_path}");
 
-    if let Some(baseline) = check_path {
-        let mut ok = true;
-        if !battery_only {
-            ok &= check_gate(&speedups, &baseline, min_ratio);
-            ok &= check_floor_gate(&speedups);
-            ok &= check_kernel_gate(&speedups);
-            ok &= check_instret_gate(&reductions, &baseline);
-        }
-        if !cmp_only {
-            ok &= check_battery_gate(&battery, &baseline);
-            ok &= check_accuracy_gate(&accuracy, &baseline);
-        }
-        if !cmp_only && !battery_only {
-            ok &= check_service_gate(service.as_ref(), &baseline);
-            ok &= check_throughput_gate(throughput.as_ref(), &baseline);
-        }
-        if !ok {
+    if let Some(baseline) = &baseline {
+        if !run_gates(&gates, &fresh, baseline, min_ratio) {
             eprintln!("perf gate FAILED");
-            std::process::exit(1);
+            exit(1);
         }
         println!("perf gate passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline the CI gate reads.
+    const COMMITTED: &str = include_str!("../../../../BENCH_10.json");
+
+    /// Keys of an object, minus `host_threads`, which the committed rows
+    /// still carry from before the host-parallel scheduler was removed.
+    fn keys(v: Option<&Json>) -> Vec<&str> {
+        let fields = v.and_then(Json::as_obj).expect("an object");
+        let keys = fields.iter().map(|(k, _)| k.as_str());
+        keys.filter(|k| *k != "host_threads").collect()
+    }
+
+    fn first(v: Option<&Json>) -> Option<&Json> {
+        v.and_then(Json::as_arr).and_then(<[Json]>::first)
+    }
+
+    #[test]
+    fn the_written_document_has_the_committed_sections_and_keys() {
+        let row = Row {
+            name: "net8020_quick_1core".into(),
+            sched: "exact",
+            wall_s: 0.012_345_678,
+            sim_cycles: 164_576,
+            sim_instret: 226_734,
+            spikes: 31,
+            spike_log: Vec::new(),
+        };
+        let battery_row = BatteryRow {
+            spec: 0,
+            scenario: "net8020".into(),
+            seed: 5,
+            sched: "exact",
+            timing: "exact",
+            quantum: 0,
+            wall_s: 0.003,
+            sim_cycles: 164_576,
+            sim_instret: 226_734,
+            spikes: 31,
+            raster_hash: 0x6e0c_14e4_286d_2c68,
+            weight_hash: None,
+            verified: true,
+            error: None,
+            error_kind: None,
+            attempts: 1,
+        };
+        let service = LoadReport {
+            submitted: 40,
+            accepted: 24,
+            rejected: 16,
+            completed: 22,
+            failed: 2,
+            failure_kinds: vec!["panic".into(), "guest-trap".into()],
+            health_ok: 30,
+            health_checks: 30,
+            backpressure_hinted: true,
+            wall_s: 0.03,
+            throughput_jobs_per_s: 742.56,
+        };
+        let throughput = ThroughputSummary {
+            runs: 66,
+            cold_runs_per_s: 10.57,
+            cached_runs_per_s: 43.1,
+        };
+        let entry = |name: &str, v: f64| vec![(name.to_string(), v)];
+        let fresh = report(
+            &[row],
+            &entry("net8020_quick_1core", 2.291_234_5),
+            &entry("net8020_quick_1core", 0.0305),
+            &[battery_row],
+            &entry("net8020", 1.029),
+            Some(&service),
+            Some(&throughput),
+        );
+        // The file parses back to exactly the document the gate judged,
+        // gated figures at full precision.
+        let written = Json::parse(&fresh.pretty()).expect("written file parses");
+        assert_eq!(written, fresh);
+        assert_eq!(
+            written
+                .get("speedup_vs_seed")
+                .and_then(|s| s.get("net8020_quick_1core")),
+            Some(&Json::Num(2.291_234_5))
+        );
+        let committed = Json::parse(COMMITTED).expect("committed baseline parses");
+        assert_eq!(keys(Some(&written)), keys(Some(&committed)));
+        for section in ["service", "battery_throughput"] {
+            assert_eq!(
+                keys(written.get(section)),
+                keys(committed.get(section)),
+                "{section}"
+            );
+        }
+        for section in ["workloads", "battery"] {
+            assert_eq!(
+                keys(first(written.get(section))),
+                keys(first(committed.get(section))),
+                "{section} rows"
+            );
+        }
+        // And it is a baseline the gate accepts.
+        assert!(gate::check_baseline(&GATES, &written).is_empty());
     }
 }

@@ -17,24 +17,34 @@
 //!   queries answered throughout the drain.
 //!
 //! The whole stack is `std`-only: HTTP/1.1 on [`std::net::TcpListener`],
-//! a hand-rolled flat-JSON reader for the tiny job documents, and a
-//! `Mutex<VecDeque> + Condvar` queue. The workspace is offline, so no
-//! dependency was an option — and none is needed at this size.
+//! the crate's one JSON codec ([`crate::json`]) for job documents and
+//! every response body, and a `Mutex<VecDeque> + Condvar` queue. The
+//! workspace is offline, so no dependency was an option — and none is
+//! needed at this size.
 //!
 //! ## Endpoints
 //!
 //! | Method & path | Purpose |
 //! |---|---|
 //! | `GET /health` | queue/worker counters; always answered, even while draining |
-//! | `POST /jobs` | submit a job (flat JSON); `202` + id, or `429` when full |
-//! | `GET /jobs/<id>` | status/result of one job |
+//! | `POST /jobs` | submit a job; `202` + id, `429` when the queue is full, `400` for an invalid document, `503` while draining |
+//! | `GET /jobs/<id>` | status/result of one job; `400` for a non-numeric id, `404` for an unknown one |
 //! | `POST /shutdown` | stop admissions, drain, exit |
 //!
-//! A job document is a flat JSON object:
+//! Every body, errors included, is a JSON object; an error is
+//! `{"error": "<message>"}`, with client text escaped.
+//!
+//! A job document is one flat JSON object:
 //! `{"scenario": "net8020", "seed": 5, "sched": "relaxed", "ticks": 20}`
 //! with optional `n`, `n_cores`, `quick` (default `true`) and fault-
 //! injection knobs `fault` (`"panic" | "trap" | "stall" | "corrupt"`),
-//! `fault_core`, `fault_at`, `fault_arg` for chaos drills.
+//! `fault_core`, `fault_at`, `fault_arg` for chaos drills. [`parse_job`]
+//! answers `400` for anything else: malformed JSON or trailing data, a
+//! non-object, an unknown or repeated key, a value of the wrong type, a
+//! number that is not a non-negative integer in its parameter's range, a
+//! fault knob without `fault`, or a shape
+//! [`izhi_programs::scenario::Scenario::validate`] rejects (checked at the
+//! shape the job builds, its quick defaults merged in).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -49,6 +59,7 @@ use izhi_programs::template;
 use izhi_sim::{FaultKind, FaultPlan, FaultSpec, SchedMode};
 
 use crate::battery::SchedSpec;
+use crate::json::Json;
 use crate::supervise::{run_supervised, RunErrorKind, SuperviseConfig};
 
 /// Most connections served at once, each on its own handler thread. A
@@ -444,7 +455,8 @@ fn handler_loop(state: &ServerState) {
 /// resets the connection, and the client would lose the response.
 fn refuse(stream: &mut TcpStream) {
     let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
-    let _ = write_response(stream, 503, "{\"error\": \"too many connections\"}", None);
+    let (status, body, _) = error(503, "too many connections");
+    let _ = write_response(stream, status, &body.to_string(), None);
     if stream.set_nonblocking(true).is_ok() {
         let mut sink = [0u8; 1024];
         for _ in 0..64 {
@@ -462,7 +474,7 @@ fn serve_connection(mut stream: TcpStream, state: &ServerState) {
     if let Ok(req) = read_request(&mut stream, deadline) {
         let (status, body, retry_after) = handle_request(state, &req);
         if arm_deadline(&stream, deadline).is_ok() {
-            let _ = write_response(&mut stream, status, &body, retry_after);
+            let _ = write_response(&mut stream, status, &body.to_string(), retry_after);
         }
     }
 }
@@ -572,43 +584,49 @@ fn write_response(
     stream.flush()
 }
 
-/// Route one request. Returns `(status, body, retry_after)`.
-fn handle_request(state: &ServerState, req: &Request) -> (u16, String, Option<Duration>) {
+/// A response: status, JSON body and the optional backpressure hint.
+type Response = (u16, Json, Option<Duration>);
+
+/// An `{"error": message}` response.
+fn error(status: u16, message: impl Into<String>) -> Response {
+    (status, Json::obj([("error", message.into().into())]), None)
+}
+
+/// Route one request.
+fn handle_request(state: &ServerState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
             let (queued, running, done, failed) = state.counters();
-            let draining = state.draining.load(Ordering::SeqCst);
-            (
-                200,
-                format!(
-                    "{{\"status\": \"ok\", \"queued\": {queued}, \"running\": {running}, \
-                     \"done\": {done}, \"failed\": {failed}, \"draining\": {draining}}}"
-                ),
-                None,
-            )
+            let health = Json::obj([
+                ("status", "ok".into()),
+                ("queued", queued.into()),
+                ("running", running.into()),
+                ("done", done.into()),
+                ("failed", failed.into()),
+                ("draining", state.draining.load(Ordering::SeqCst).into()),
+            ]);
+            (200, health, None)
         }
         ("POST", "/jobs") => submit_job(state, &req.body),
         ("POST", "/shutdown") => {
             state.draining.store(true, Ordering::SeqCst);
             state.not_empty.notify_all();
-            (202, "{\"status\": \"draining\"}".to_string(), None)
+            (202, Json::obj([("status", "draining".into())]), None)
         }
         ("GET", path) if path.starts_with("/jobs/") => job_status(state, &path["/jobs/".len()..]),
-        (_, "/health" | "/jobs" | "/shutdown") => {
-            (405, "{\"error\": \"method not allowed\"}".to_string(), None)
-        }
-        _ => (404, "{\"error\": \"no such endpoint\"}".to_string(), None),
+        (_, "/health" | "/jobs" | "/shutdown") => error(405, "method not allowed"),
+        _ => error(404, "no such endpoint"),
     }
 }
 
 /// `POST /jobs`: validate, admit or push back.
-fn submit_job(state: &ServerState, body: &str) -> (u16, String, Option<Duration>) {
+fn submit_job(state: &ServerState, body: &str) -> Response {
     if state.draining.load(Ordering::SeqCst) {
-        return (503, "{\"error\": \"shutting down\"}".to_string(), None);
+        return error(503, "shutting down");
     }
     let spec = match parse_job(body) {
         Ok(spec) => spec,
-        Err(e) => return (400, format!("{{\"error\": \"{e}\"}}"), None),
+        Err(e) => return error(400, e),
     };
     let mut q = lock(&state.queue);
     if q.len() >= state.cfg.queue_cap {
@@ -618,14 +636,11 @@ fn submit_job(state: &ServerState, body: &str) -> (u16, String, Option<Duration>
         let hint = Duration::from_millis(
             100 * state.cfg.queue_cap as u64 / state.cfg.workers.max(1) as u64,
         );
-        return (
-            429,
-            format!(
-                "{{\"error\": \"queue full\", \"retry_after_ms\": {}}}",
-                hint.as_millis()
-            ),
-            Some(hint),
-        );
+        let body = Json::obj([
+            ("error", "queue full".into()),
+            ("retry_after_ms", (hint.as_millis() as u64).into()),
+        ]);
+        return (429, body, Some(hint));
     }
     let id = state.next_id.fetch_add(1, Ordering::SeqCst);
     lock(&state.jobs).insert(id, JobState::Queued);
@@ -633,28 +648,31 @@ fn submit_job(state: &ServerState, body: &str) -> (u16, String, Option<Duration>
     let queued = q.len();
     drop(q);
     state.not_empty.notify_one();
-    (202, format!("{{\"id\": {id}, \"queued\": {queued}}}"), None)
+    (
+        202,
+        Json::obj([("id", id.into()), ("queued", queued.into())]),
+        None,
+    )
 }
 
 /// `GET /jobs/<id>`.
-fn job_status(state: &ServerState, id_str: &str) -> (u16, String, Option<Duration>) {
+fn job_status(state: &ServerState, id_str: &str) -> Response {
     let Ok(id) = id_str.parse::<u64>() else {
-        return (400, "{\"error\": \"bad job id\"}".to_string(), None);
+        return error(400, "bad job id");
     };
-    let jobs = lock(&state.jobs);
-    match jobs.get(&id) {
-        None => (404, "{\"error\": \"no such job\"}".to_string(), None),
-        Some(JobState::Queued) => (
-            200,
-            format!("{{\"id\": {id}, \"status\": \"queued\"}}"),
-            None,
-        ),
-        Some(JobState::Running) => (
-            200,
-            format!("{{\"id\": {id}, \"status\": \"running\"}}"),
-            None,
-        ),
-        Some(JobState::Done {
+    match lock(&state.jobs).get(&id) {
+        None => error(404, "no such job"),
+        Some(job) => (200, status_body(id, job), None),
+    }
+}
+
+/// The status document of job `id`.
+fn status_body(id: u64, job: &JobState) -> Json {
+    let mut fields = vec![("id", id.into())];
+    match job {
+        JobState::Queued => fields.push(("status", "queued".into())),
+        JobState::Running => fields.push(("status", "running".into())),
+        JobState::Done {
             cycles,
             instret,
             spikes,
@@ -662,205 +680,119 @@ fn job_status(state: &ServerState, id_str: &str) -> (u16, String, Option<Duratio
             wall_s,
             attempts,
             template_hit,
-        }) => (
-            200,
-            format!(
-                "{{\"id\": {id}, \"status\": \"done\", \"sim_cycles\": {cycles}, \
-                 \"sim_instret\": {instret}, \"spikes\": {spikes}, \
-                 \"raster_hash\": \"{raster_hash:#018x}\", \"wall_s\": {wall_s:.6}, \
-                 \"attempts\": {attempts}, \"template_hit\": {template_hit}}}"
-            ),
-            None,
-        ),
-        Some(JobState::Failed {
+        } => fields.extend([
+            ("status", "done".into()),
+            ("sim_cycles", (*cycles).into()),
+            ("sim_instret", (*instret).into()),
+            ("spikes", (*spikes).into()),
+            ("raster_hash", format!("{raster_hash:#018x}").into()),
+            ("wall_s", Json::fixed(*wall_s, 6)),
+            ("attempts", (*attempts).into()),
+            ("template_hit", (*template_hit).into()),
+        ]),
+        JobState::Failed {
             kind,
             message,
             attempts,
-        }) => (
-            200,
-            format!(
-                "{{\"id\": {id}, \"status\": \"failed\", \"error_kind\": \"{}\", \
-                 \"error\": \"{}\", \"attempts\": {attempts}}}",
-                kind.label(),
-                escape_json(message),
-            ),
-            None,
-        ),
+        } => fields.extend([
+            ("status", "failed".into()),
+            ("error_kind", kind.label().into()),
+            ("error", message.as_str().into()),
+            ("attempts", (*attempts).into()),
+        ]),
     }
+    Json::obj(fields)
 }
 
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            '\r' => vec!['\\', 'r'],
-            '\t' => vec!['\\', 't'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
+/// Every key a job document may carry.
+const JOB_KEYS: &str =
+    "scenario seed sched ticks n n_cores quick fault fault_core fault_at fault_arg";
 
-/// A value of the flat job document.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
-/// Parse a flat JSON object (string/number/bool values, no nesting) into
-/// key/value pairs. Small by design: job documents are flat, and the
-/// workspace is offline (no serde).
-fn parse_flat_json(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let mut out = Vec::new();
-    let mut it = s.chars().peekable();
-    let skip_ws = |it: &mut std::iter::Peekable<std::str::Chars<'_>>| {
-        while matches!(it.peek(), Some(c) if c.is_whitespace()) {
-            it.next();
-        }
-    };
-    skip_ws(&mut it);
-    if it.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        skip_ws(&mut it);
-        match it.peek() {
-            Some('}') => {
-                it.next();
-                return Ok(out);
-            }
-            Some('"') => {}
-            _ => return Err("expected key or '}'".into()),
-        }
-        it.next(); // opening quote
-        let mut key = String::new();
-        loop {
-            match it.next() {
-                Some('"') => break,
-                Some(c) => key.push(c),
-                None => return Err("unterminated key".into()),
-            }
-        }
-        skip_ws(&mut it);
-        if it.next() != Some(':') {
-            return Err(format!("expected ':' after key `{key}`"));
-        }
-        skip_ws(&mut it);
-        let val = match it.peek() {
-            Some('"') => {
-                it.next();
-                let mut v = String::new();
-                loop {
-                    match it.next() {
-                        Some('\\') => match it.next() {
-                            Some('n') => v.push('\n'),
-                            Some('t') => v.push('\t'),
-                            Some(c) => v.push(c),
-                            None => return Err("unterminated string".into()),
-                        },
-                        Some('"') => break,
-                        Some(c) => v.push(c),
-                        None => return Err("unterminated string".into()),
-                    }
-                }
-                JsonVal::Str(v)
-            }
-            Some('t' | 'f') => {
-                let mut word = String::new();
-                while matches!(it.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    word.push(it.next().unwrap());
-                }
-                match word.as_str() {
-                    "true" => JsonVal::Bool(true),
-                    "false" => JsonVal::Bool(false),
-                    w => return Err(format!("bad literal `{w}`")),
-                }
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let mut num = String::new();
-                while matches!(it.peek(), Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    num.push(it.next().unwrap());
-                }
-                JsonVal::Num(num.parse().map_err(|_| format!("bad number `{num}`"))?)
-            }
-            _ => return Err(format!("unsupported value for key `{key}`")),
-        };
-        out.push((key, val));
-        skip_ws(&mut it);
-        match it.next() {
-            Some(',') => {}
-            Some('}') => return Ok(out),
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-}
-
-/// Validate a job document into a [`JobSpec`].
+/// Validate a job document into a [`JobSpec`]: one JSON object of
+/// `JOB_KEYS`, each at most once, with integers that fit their
+/// parameter, checked by [`scenario::Scenario::validate`] at the shape
+/// the job will build (its quick defaults merged in for a quick job).
 pub fn parse_job(body: &str) -> Result<JobSpec, String> {
-    let pairs = parse_flat_json(body)?;
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let get_num = |key: &str| -> Result<Option<f64>, String> {
-        match get(key) {
-            None => Ok(None),
-            Some(JsonVal::Num(n)) => Ok(Some(*n)),
-            Some(_) => Err(format!("`{key}` must be a number")),
+    let doc = Json::parse(body)?;
+    let fields = doc.as_obj().ok_or("a job document must be a JSON object")?;
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !JOB_KEYS.split(' ').any(|k| k == key) {
+            return Err(format!("unknown key `{key}`"));
         }
-    };
-    let Some(JsonVal::Str(scenario)) = get("scenario") else {
-        return Err("`scenario` (string) is required".into());
-    };
-    if scenario::find(scenario).is_none() {
-        return Err(format!("unknown scenario `{scenario}`"));
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("duplicate key `{key}`"));
+        }
     }
-    let sched_label = match get("sched") {
-        None => "relaxed",
-        Some(JsonVal::Str(s)) => s.as_str(),
-        Some(_) => return Err("`sched` must be a string".into()),
+    let string = |key: &str| match doc.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be a string")),
     };
+    let uint = |key: &str, max: u64| match doc.get(key) {
+        None => Ok(None),
+        Some(v) => match v.as_u64() {
+            Some(n) if n <= max => Ok(Some(n)),
+            _ => Err(format!("`{key}` must be an integer in 0..={max}")),
+        },
+    };
+    let uint32 = |key: &str| Ok::<_, String>(uint(key, u32::MAX.into())?.map(|n| n as u32));
+    let scenario = string("scenario")?.ok_or("`scenario` (string) is required")?;
+    let sc = scenario::find(scenario).ok_or_else(|| format!("unknown scenario `{scenario}`"))?;
+    let sched_label = string("sched")?.unwrap_or("relaxed");
     let Some(spec) = SchedSpec::default_set()
         .into_iter()
         .find(|s| s.label == sched_label)
     else {
         return Err(format!("unknown sched label `{sched_label}`"));
     };
-    let quick = match get("quick") {
+    let quick = match doc.get("quick") {
         None => true,
-        Some(JsonVal::Bool(b)) => *b,
-        Some(_) => return Err("`quick` must be a bool".into()),
+        Some(v) => v.as_bool().ok_or("`quick` must be a bool")?,
     };
     let params = ScenarioParams {
-        seed: get_num("seed")?.map(|n| n as u32),
-        n: get_num("n")?.map(|n| n as usize),
-        ticks: get_num("ticks")?.map(|n| n as u32),
-        n_cores: get_num("n_cores")?.map(|n| n as u32),
+        seed: uint32("seed")?,
+        n: uint32("n")?.map(|n| n as usize),
+        ticks: uint32("ticks")?,
+        n_cores: uint32("n_cores")?,
         ..Default::default()
     };
-    let fault = match get("fault") {
-        None => None,
-        Some(JsonVal::Str(kind)) => {
-            let arg = get_num("fault_arg")?;
-            let kind = match kind.as_str() {
+    let shape = if quick {
+        params.merged(sc.quick)
+    } else {
+        params
+    };
+    sc.validate(&shape)
+        .map_err(|e| format!("{scenario}: invalid parameters: {e}"))?;
+    let fault = match string("fault")? {
+        None => {
+            if let Some(key) = ["fault_core", "fault_at", "fault_arg"]
+                .into_iter()
+                .find(|k| doc.get(k).is_some())
+            {
+                return Err(format!("`{key}` needs `fault`"));
+            }
+            None
+        }
+        Some(kind) => {
+            let arg = uint32("fault_arg")?;
+            let kind = match kind {
                 "panic" => FaultKind::HostPanic,
                 "trap" => FaultKind::GuestTrap,
-                "stall" => FaultKind::StallMs(arg.map_or(200, |n| n as u64)),
-                "corrupt" => FaultKind::CorruptSpike(arg.map_or(0xDEAD_BEEF, |n| n as u32)),
+                "stall" => FaultKind::StallMs(arg.map_or(200, u64::from)),
+                "corrupt" => FaultKind::CorruptSpike(arg.unwrap_or(0xDEAD_BEEF)),
                 k => return Err(format!("unknown fault kind `{k}`")),
             };
             Some(FaultSpec {
-                core: get_num("fault_core")?.map_or(0, |n| n as u32),
-                at_instret: get_num("fault_at")?.map_or(0, |n| n as u64),
+                core: uint32("fault_core")?.unwrap_or(0),
+                at_instret: uint("fault_at", u64::MAX)?.unwrap_or(0),
                 kind,
             })
         }
-        Some(_) => return Err("`fault` must be a string".into()),
     };
     Ok(JobSpec {
-        scenario: scenario.clone(),
+        scenario: scenario.to_string(),
         params,
         sched: spec.mode,
         sched_label: spec.label,
@@ -898,24 +830,6 @@ pub fn http_request(
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     Ok((status, payload))
-}
-
-/// Extract a numeric field from a flat JSON response.
-pub fn json_field_u64(body: &str, key: &str) -> Option<u64> {
-    let pairs = parse_flat_json(body).ok()?;
-    pairs.iter().find_map(|(k, v)| match v {
-        JsonVal::Num(n) if k == key => Some(*n as u64),
-        _ => None,
-    })
-}
-
-/// Extract a string field from a flat JSON response.
-pub fn json_field_str(body: &str, key: &str) -> Option<String> {
-    let pairs = parse_flat_json(body).ok()?;
-    pairs.iter().find_map(|(k, v)| match v {
-        JsonVal::Str(s) if k == key => Some(s.clone()),
-        _ => None,
-    })
 }
 
 /// What a load-generation burst observed (the `service` section of a
@@ -969,14 +883,12 @@ pub fn generate_load(
     for body in bodies {
         let (status, resp) =
             http_request(addr, "POST", "/jobs", Some(body)).map_err(|e| e.to_string())?;
+        let field = |key: &str| Json::parse(&resp).ok()?.get(key)?.as_u64();
         match status {
-            202 => {
-                let id = json_field_u64(&resp, "id").ok_or("202 without an id")?;
-                accepted_ids.push(id);
-            }
+            202 => accepted_ids.push(field("id").ok_or("202 without an id")?),
             429 => {
                 rejected += 1;
-                if json_field_u64(&resp, "retry_after_ms").is_none() {
+                if field("retry_after_ms").is_none() {
                     backpressure_hinted = false;
                 }
             }
@@ -1001,12 +913,13 @@ pub fn generate_load(
         if status != 200 {
             return Err(format!("status {status} for job {id}: {resp}"));
         }
-        match json_field_str(&resp, "status").as_deref() {
+        let resp = Json::parse(&resp).unwrap_or(Json::Null);
+        let field = |key: &str| resp.get(key).and_then(Json::as_str);
+        match field("status") {
             Some("done") => completed += 1,
             Some("failed") => {
                 failed += 1;
-                failure_kinds
-                    .push(json_field_str(&resp, "error_kind").unwrap_or_else(|| "?".into()));
+                failure_kinds.push(field("error_kind").unwrap_or("?").to_string());
             }
             _ => {
                 pending.push_back(id);
@@ -1035,9 +948,39 @@ pub fn generate_load(
     })
 }
 
-/// A small, fast job document for bursts (quick net8020 at few ticks).
+/// A small, fast job document (quick net8020 at n = 60 and 10 ticks),
+/// optionally with an injected fault.
+fn tiny_job(seed: u32, fault: Option<&str>) -> String {
+    let mut job = Json::obj([
+        ("scenario", "net8020".into()),
+        ("seed", seed.into()),
+        ("sched", "relaxed".into()),
+        ("ticks", 10u32.into()),
+        ("n", 60u32.into()),
+    ]);
+    if let (Some(fault), Json::Obj(fields)) = (fault, &mut job) {
+        fields.push(("fault".to_string(), fault.into()));
+    }
+    job.to_string()
+}
+
+/// A small, fast, clean job document at `seed`.
 pub fn tiny_job_body(seed: u32) -> String {
-    format!("{{\"scenario\": \"net8020\", \"seed\": {seed}, \"sched\": \"relaxed\", \"ticks\": 10, \"n\": 60}}")
+    tiny_job(seed, None)
+}
+
+/// The job documents of a burst: tiny jobs at seeds `0..n_jobs`, except
+/// that with `faults` (and at least two jobs) the first two are poisoned
+/// with a host panic (seed 5) and a guest trap (seed 6).
+pub fn burst_bodies(n_jobs: usize, faults: bool) -> Vec<String> {
+    let poisoned = faults && n_jobs >= 2;
+    (0..n_jobs as u32)
+        .map(|i| match i {
+            0 if poisoned => tiny_job(5, Some("panic")),
+            1 if poisoned => tiny_job(6, Some("trap")),
+            seed => tiny_job(seed, None),
+        })
+        .collect()
 }
 
 /// In-process service benchmark: burst `n_jobs` tiny jobs (two of them
@@ -1056,16 +999,7 @@ pub fn service_benchmark(n_jobs: usize) -> Result<LoadReport, String> {
     })
     .map_err(|e| e.to_string())?;
     let addr = handle.addr().to_string();
-    let mut bodies: Vec<String> = (0..n_jobs as u32).map(tiny_job_body).collect();
-    if bodies.len() >= 2 {
-        bodies[0] = "{\"scenario\": \"net8020\", \"seed\": 5, \"sched\": \"relaxed\", \
-                     \"ticks\": 10, \"n\": 60, \"fault\": \"panic\"}"
-            .to_string();
-        bodies[1] = "{\"scenario\": \"net8020\", \"seed\": 6, \"sched\": \"relaxed\", \
-                     \"ticks\": 10, \"n\": 60, \"fault\": \"trap\"}"
-            .to_string();
-    }
-    let report = generate_load(&addr, &bodies, Duration::from_secs(180));
+    let report = generate_load(&addr, &burst_bodies(n_jobs, true), Duration::from_secs(180));
     handle.shutdown_and_join();
     report
 }
@@ -1120,18 +1054,22 @@ mod tests {
 
     #[test]
     fn flat_json_parses_the_job_shapes() {
-        let pairs = parse_flat_json(
-            "{\"scenario\": \"net8020\", \"seed\": 5, \"quick\": true, \"wall\": 1.5}",
-        )
-        .unwrap();
-        assert_eq!(pairs.len(), 4);
-        assert_eq!(pairs[0].1, JsonVal::Str("net8020".into()));
-        assert_eq!(pairs[1].1, JsonVal::Num(5.0));
-        assert_eq!(pairs[2].1, JsonVal::Bool(true));
-        assert_eq!(pairs[3].1, JsonVal::Num(1.5));
-        assert!(parse_flat_json("{\"k\": }").is_err());
-        assert!(parse_flat_json("not json").is_err());
-        assert!(parse_flat_json("{}").unwrap().is_empty());
+        let job =
+            Json::parse("{\"scenario\": \"net8020\", \"seed\": 5, \"quick\": true, \"wall\": 1.5}")
+                .unwrap();
+        let fields = job.as_obj().unwrap();
+        assert_eq!(fields.len(), 4);
+        assert_eq!(fields[0].1, Json::Str("net8020".into()));
+        assert_eq!(fields[1].1, Json::Num(5.0));
+        assert_eq!(fields[2].1, Json::Bool(true));
+        assert_eq!(fields[3].1, Json::Num(1.5));
+        assert!(Json::parse("{\"k\": }").is_err());
+        assert!(Json::parse("not json").is_err());
+        assert!(Json::parse("{}").unwrap().as_obj().unwrap().is_empty());
+        // Every document a burst sends is a valid job.
+        for body in burst_bodies(4, true) {
+            parse_job(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
+        }
     }
 
     #[test]
@@ -1159,6 +1097,69 @@ mod tests {
             let err = parse_job(&body).unwrap_err();
             assert!(err.contains("unknown sched label"), "{label}: {err}");
         }
+
+        // Each document is rejected with a message naming the problem,
+        // instead of being admitted and failing (or silently running
+        // something else) in a worker.
+        for (body, expect) in [
+            // Past the standard memory map: `validate`'s message.
+            (
+                r#"{"scenario":"net8020","n_cores":40,"quick":false}"#,
+                "exceeds the standard memory map's 8 core slots",
+            ),
+            // Past the 16-bit spike-log timestamps.
+            (
+                r#"{"scenario":"net8020","ticks":70000}"#,
+                "spike-log timestamps are 16-bit",
+            ),
+            // A quick job is validated at the shape it builds: 3000
+            // neurons on the quick shape's 2 cores overflow a core's
+            // spike segment.
+            (
+                r#"{"scenario":"net8020","n":3000}"#,
+                "per-core chunk 1500 exceeds",
+            ),
+            // Negative and fractional numbers are not cast.
+            (
+                r#"{"scenario":"net8020","seed":-5}"#,
+                "`seed` must be an integer",
+            ),
+            (
+                r#"{"scenario":"net8020","n":2.7}"#,
+                "`n` must be an integer",
+            ),
+            (
+                r#"{"scenario":"net8020","ticks":4294967296}"#,
+                "`ticks` must be an integer in 0..=4294967295",
+            ),
+            (
+                r#"{"scenario":"net8020","ticks":"10"}"#,
+                "`ticks` must be an integer",
+            ),
+            (
+                r#"{"scenario":"net8020","quick":1}"#,
+                "`quick` must be a bool",
+            ),
+            // Unknown and repeated keys, trailing data, non-objects.
+            (r#"{"scenario":"net8020","tick":10}"#, "unknown key `tick`"),
+            (
+                r#"{"scenario":"net8020","seed":1,"seed":2}"#,
+                "duplicate key `seed`",
+            ),
+            (
+                r#"{"scenario":"net8020"} trailing garbage"#,
+                "trailing data",
+            ),
+            (r#"["net8020"]"#, "must be a JSON object"),
+            // Fault knobs without a fault.
+            (
+                r#"{"scenario":"net8020","fault_at":5}"#,
+                "`fault_at` needs `fault`",
+            ),
+        ] {
+            let err = parse_job(body).expect_err(body);
+            assert!(err.contains(expect), "{body}: {err}");
+        }
     }
 
     #[test]
@@ -1178,6 +1179,28 @@ mod tests {
 
     #[test]
     fn json_escaping_is_safe_for_messages() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let message = "a\"b\\c\nd\u{1}`";
+        let body = status_body(
+            3,
+            &JobState::Failed {
+                kind: RunErrorKind::Panic,
+                message: message.to_string(),
+                attempts: 1,
+            },
+        )
+        .to_string();
+        let parsed = Json::parse(&body).unwrap();
+        assert_eq!(parsed.get("error").and_then(Json::as_str), Some(message));
+        assert_eq!(
+            parsed.get("error_kind").and_then(Json::as_str),
+            Some("panic")
+        );
+        // Error bodies echo client text through the same writer.
+        let (status, body, _) = error(400, "unknown scenario `a\"b`");
+        assert_eq!(status, 400);
+        assert_eq!(
+            Json::parse(&body.to_string()).unwrap().get("error"),
+            Some(&Json::Str("unknown scenario `a\"b`".into()))
+        );
     }
 }

@@ -6,9 +6,10 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use izhi_bench::json::Json;
 use izhi_bench::serve::{
-    failure_isolated, generate_load, http_request, json_field_str, json_field_u64, tiny_job_body,
-    ServeConfig, Server, ServerHandle, MAX_CONNECTIONS,
+    burst_bodies, failure_isolated, generate_load, http_request, tiny_job_body, ServeConfig,
+    Server, ServerHandle, MAX_CONNECTIONS,
 };
 use izhi_bench::supervise::SuperviseConfig;
 
@@ -25,6 +26,22 @@ fn start(queue_cap: usize, workers: usize) -> ServerHandle {
     .expect("server starts on an ephemeral port")
 }
 
+/// Field `key` of a JSON response body, which must parse.
+fn field(body: &str, key: &str) -> Json {
+    let doc = Json::parse(body).unwrap_or_else(|e| panic!("response is not JSON ({e}): {body}"));
+    doc.get(key).cloned().unwrap_or(Json::Null)
+}
+
+/// String field `key` of a JSON response body.
+fn text(body: &str, key: &str) -> Option<String> {
+    field(body, key).as_str().map(str::to_string)
+}
+
+/// The job id of a `202` body.
+fn job_id(body: &str) -> u64 {
+    field(body, "id").as_u64().expect("id in the 202")
+}
+
 /// Poll one job until it leaves the queue/running states.
 fn wait_for_job(addr: &str, id: u64) -> String {
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -32,7 +49,7 @@ fn wait_for_job(addr: &str, id: u64) -> String {
         let (status, body) =
             http_request(addr, "GET", &format!("/jobs/{id}"), None).expect("status query");
         assert_eq!(status, 200, "job {id}: {body}");
-        match json_field_str(&body, "status").as_deref() {
+        match text(&body, "status").as_deref() {
             Some("done") | Some("failed") => return body,
             _ if Instant::now() > deadline => panic!("job {id} never finished: {body}"),
             _ => std::thread::sleep(Duration::from_millis(10)),
@@ -47,21 +64,17 @@ fn health_and_submit_and_result_round_trip() {
 
     let (status, body) = http_request(&addr, "GET", "/health", None).expect("health");
     assert_eq!(status, 200, "{body}");
-    assert_eq!(json_field_str(&body, "status").as_deref(), Some("ok"));
+    assert_eq!(text(&body, "status").as_deref(), Some("ok"));
 
     let (status, body) =
         http_request(&addr, "POST", "/jobs", Some(&tiny_job_body(5))).expect("submit");
     assert_eq!(status, 202, "{body}");
-    let id = json_field_u64(&body, "id").expect("id in the 202");
+    let id = job_id(&body);
 
     let body = wait_for_job(&addr, id);
-    assert_eq!(
-        json_field_str(&body, "status").as_deref(),
-        Some("done"),
-        "{body}"
-    );
-    assert!(json_field_u64(&body, "spikes").unwrap_or(0) > 0, "{body}");
-    assert!(json_field_str(&body, "raster_hash").is_some(), "{body}");
+    assert_eq!(text(&body, "status").as_deref(), Some("done"), "{body}");
+    assert!(field(&body, "spikes").as_u64().unwrap_or(0) > 0, "{body}");
+    assert!(text(&body, "raster_hash").is_some(), "{body}");
 
     handle.shutdown_and_join();
 }
@@ -97,19 +110,41 @@ fn bad_requests_are_rejected_not_crashed() {
 }
 
 #[test]
+fn hostile_bodies_get_a_json_400_and_the_server_keeps_answering() {
+    let handle = start(8, 1);
+    let addr = handle.addr().to_string();
+    let deep = "[".repeat(1 << 20); // 1 MiB, the largest body accepted
+    for body in [
+        "{\"scenario\": \"a\\\"b\"}",
+        "{\"scenario\": \"back\\\\slash\\\\\"}",
+        "{\"scenario\": \"ctl\\u0001\\n\\t\\u001f\"}",
+        "{\"scenario\": \"raw\u{1}control\"}",
+        "{\"sched\": \"\\\"}\", \"scenario\": \"net8020\"}",
+        "{\"scenario\": \"net8020\"} trailing garbage",
+        "{\"scenario\": \"\\ud800\"}",
+        deep.as_str(),
+    ] {
+        let (status, resp) = http_request(&addr, "POST", "/jobs", Some(body)).expect("submit");
+        let shown: String = body.chars().take(60).collect();
+        assert_eq!(status, 400, "{shown}: {resp}");
+        let doc = Json::parse(&resp)
+            .unwrap_or_else(|e| panic!("{shown}: 400 body is not JSON ({e}): {resp}"));
+        assert!(doc.get("error").and_then(Json::as_str).is_some(), "{resp}");
+    }
+    let (status, body) = http_request(&addr, "GET", "/health", None).expect("health");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(text(&body, "status").as_deref(), Some("ok"));
+    handle.shutdown_and_join();
+}
+
+#[test]
 fn a_burst_beyond_capacity_is_backpressured_and_accepted_jobs_complete() {
     // 50 jobs into a queue of 4 with 2 workers: rejections are certain,
     // and every accepted job must still complete while health stays up.
     let handle = start(4, 2);
     let addr = handle.addr().to_string();
-    let mut bodies: Vec<String> = (0..50u32).map(tiny_job_body).collect();
     // Two poisoned jobs ride along: a host panic and a guest trap.
-    bodies[0] = "{\"scenario\": \"net8020\", \"seed\": 5, \"ticks\": 10, \"n\": 60, \
-                 \"fault\": \"panic\"}"
-        .to_string();
-    bodies[1] = "{\"scenario\": \"net8020\", \"seed\": 6, \"ticks\": 10, \"n\": 60, \
-                 \"fault\": \"trap\"}"
-        .to_string();
+    let bodies = burst_bodies(50, true);
 
     let report = generate_load(&addr, &bodies, Duration::from_secs(120)).expect("burst");
     assert_eq!(report.submitted, 50);
@@ -144,26 +179,22 @@ fn a_panicking_job_reports_its_kind_and_spares_its_neighbours() {
                   \"fault\": \"panic\", \"fault_at\": 1000}";
     let (status, body) = http_request(&addr, "POST", "/jobs", Some(poison)).expect("submit");
     assert_eq!(status, 202, "{body}");
-    let poison_id = json_field_u64(&body, "id").unwrap();
+    let poison_id = job_id(&body);
     let (status, body) =
         http_request(&addr, "POST", "/jobs", Some(&tiny_job_body(7))).expect("submit");
     assert_eq!(status, 202, "{body}");
-    let clean_id = json_field_u64(&body, "id").unwrap();
+    let clean_id = job_id(&body);
 
     let body = wait_for_job(&addr, poison_id);
+    assert_eq!(text(&body, "status").as_deref(), Some("failed"), "{body}");
     assert_eq!(
-        json_field_str(&body, "status").as_deref(),
-        Some("failed"),
-        "{body}"
-    );
-    assert_eq!(
-        json_field_str(&body, "error_kind").as_deref(),
+        text(&body, "error_kind").as_deref(),
         Some("panic"),
         "{body}"
     );
     let body = wait_for_job(&addr, clean_id);
     assert_eq!(
-        json_field_str(&body, "status").as_deref(),
+        text(&body, "status").as_deref(),
         Some("done"),
         "the worker survived the panic: {body}"
     );
@@ -179,7 +210,7 @@ fn shutdown_drains_accepted_jobs_and_refuses_new_ones() {
             let (status, body) =
                 http_request(&addr, "POST", "/jobs", Some(&tiny_job_body(seed))).expect("submit");
             assert_eq!(status, 202, "{body}");
-            json_field_u64(&body, "id").unwrap()
+            job_id(&body)
         })
         .collect();
 
@@ -192,13 +223,13 @@ fn shutdown_drains_accepted_jobs_and_refuses_new_ones() {
     assert_eq!(status, 503, "admissions closed during the drain");
     let (status, body) = http_request(&addr, "GET", "/health", None).expect("health");
     assert_eq!(status, 200);
-    assert!(body.contains("\"draining\": true"), "{body}");
+    assert_eq!(field(&body, "draining"), Json::Bool(true), "{body}");
 
     // Every job accepted before the shutdown still completes.
     for id in ids {
         let body = wait_for_job(&addr, id);
         assert_eq!(
-            json_field_str(&body, "status").as_deref(),
+            text(&body, "status").as_deref(),
             Some("done"),
             "accepted job {id} drained: {body}"
         );

@@ -56,6 +56,7 @@ use std::io::Write as _;
 use std::process::exit;
 
 use izhirisc::bench::battery::{self, BatteryRunner, BatterySpec, SchedSpec};
+use izhirisc::bench::json::Json;
 use izhirisc::bench::serve::{ServeConfig, Server};
 use izhirisc::bench::supervise::{RetryPolicy, SuperviseConfig};
 use izhirisc::isa::{decode, disassemble, Assembler, Reg};
@@ -397,14 +398,19 @@ fn cmd_scenario_list() {
     );
 }
 
+/// The standalone battery document: a schema tag and the `"battery"`
+/// array, in the same row shape as `perf_baseline`'s output.
+fn battery_doc(rows: &[battery::BatteryRow]) -> Json {
+    Json::obj([
+        ("schema", "izhirisc-scenario-battery-v1".into()),
+        ("battery", battery::rows_json(rows)),
+    ])
+}
+
 /// Write battery rows as a standalone JSON document (the CI smoke-job
 /// artifact; same `"battery"` array shape as `perf_baseline`'s output).
 fn write_battery_json(path: &str, rows: &[battery::BatteryRow]) {
-    let json = format!(
-        "{{\n  \"schema\": \"izhirisc-scenario-battery-v1\",\n  \"battery\": {}\n}}\n",
-        battery::rows_json(rows)
-    );
-    fs::write(path, json).unwrap_or_else(|e| {
+    fs::write(path, battery_doc(rows).pretty()).unwrap_or_else(|e| {
         eprintln!("cannot write {path}: {e}");
         exit(1);
     });
@@ -694,5 +700,53 @@ fn main() {
         Some("serve") => cmd_serve(&args[1..]),
         Some("selftest") => cmd_selftest(),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn battery_json_parses_back_with_its_sections_and_row_keys() {
+        let rows = BatteryRunner { host_threads: 1 }
+            .run(&[BatterySpec {
+                seeds: vec![5],
+                scheds: SchedSpec::timing_set("exact"),
+                ..BatterySpec::quick(scenario::find("net8020").expect("registered"))
+            }])
+            .expect("battery runs");
+        let doc = Json::parse(&battery_doc(&rows).pretty()).expect("written file parses");
+        let keys = |v: &Json| -> Vec<String> {
+            v.as_obj()
+                .expect("object")
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        assert_eq!(keys(&doc), ["schema", "battery"]);
+        let battery = doc.get("battery").and_then(Json::as_arr).expect("rows");
+        assert_eq!(battery.len(), 1);
+        assert_eq!(
+            keys(&battery[0]),
+            [
+                "key",
+                "scenario",
+                "seed",
+                "sched",
+                "timing",
+                "quantum",
+                "wall_s",
+                "sim_cycles",
+                "sim_instret",
+                "spikes",
+                "raster_hash",
+                "verified"
+            ]
+        );
+        assert_eq!(
+            battery[0].get("key").and_then(Json::as_str),
+            Some("net8020:5:exact")
+        );
     }
 }
