@@ -28,7 +28,7 @@
 //! |---|---|
 //! | `GET /health` | queue/worker counters; always answered, even while draining |
 //! | `POST /jobs` | submit a job; `202` + id, `429` when the queue is full, `400` for an invalid document, `503` while draining |
-//! | `GET /jobs/<id>` | status/result of one job; `400` for a non-numeric id, `404` for an unknown one |
+//! | `GET /jobs/<id>` | status/result of one job (a done job's `wall_s` times its run, `build_s` the template lookup and instantiate before it); `400` for a non-numeric id, `404` for an unknown one |
 //! | `POST /shutdown` | stop admissions, drain, exit |
 //!
 //! Every body, errors included, is a JSON object; an error is
@@ -140,6 +140,9 @@ pub enum JobState {
         raster_hash: u64,
         /// Host wall time of the run.
         wall_s: f64,
+        /// Host wall time of the build before the run: template lookup
+        /// plus instantiate/re-seed (or the cold build).
+        build_s: f64,
         /// Supervised attempts it took.
         attempts: u32,
         /// Whether the worker reused a cached run template for the
@@ -328,6 +331,7 @@ fn worker_loop(state: &ServerState) {
 /// supervised runner isolates run panics, and build panics are caught
 /// here.
 fn run_job(spec: &JobSpec, sup: &SuperviseConfig) -> JobState {
+    let build_start = Instant::now();
     let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let sc = scenario::find(&spec.scenario)?;
         // Identical (scenario, shape) submissions share one cached build
@@ -335,22 +339,16 @@ fn run_job(spec: &JobSpec, sup: &SuperviseConfig) -> JobState {
         // seed-dependent tables are patched per job. With the cache
         // disabled (`IZHI_TEMPLATE_CACHE=0`) every job builds cold, as
         // the workers did historically.
+        let shape = sc.shape(spec.params, spec.quick);
         let (mut wl, template_hit): (Box<dyn Workload>, bool) = if template::cache_enabled() {
-            let merged = if spec.quick {
-                spec.params.merged(sc.quick)
-            } else {
-                spec.params
-            };
-            let (tpl, hit) = template::lookup(sc, merged);
-            let inst = match merged.seed {
+            let (tpl, hit) = template::lookup(sc, shape);
+            let inst = match shape.seed {
                 Some(seed) => tpl.instantiate(seed, spec.sched),
                 None => tpl.instantiate_as_built(spec.sched),
             };
             (Box::new(inst), hit)
-        } else if spec.quick {
-            (sc.build_quick(&spec.params), false)
         } else {
-            (sc.build(&spec.params), false)
+            (sc.build(&shape), false)
         };
         wl.cfg_mut().system.sched = spec.sched;
         if let Some(fault) = spec.fault {
@@ -377,6 +375,7 @@ fn run_job(spec: &JobSpec, sup: &SuperviseConfig) -> JobState {
             }
         }
     };
+    let build_s = build_start.elapsed().as_secs_f64();
     let start = Instant::now();
     match run_supervised(wl.as_mut(), sup) {
         Ok(sup) => JobState::Done {
@@ -385,6 +384,7 @@ fn run_job(spec: &JobSpec, sup: &SuperviseConfig) -> JobState {
             spikes: sup.result.raster.spikes.len() as u64,
             raster_hash: sup.result.raster_hash(),
             wall_s: start.elapsed().as_secs_f64(),
+            build_s,
             attempts: sup.attempts,
             template_hit,
         },
@@ -678,6 +678,7 @@ fn status_body(id: u64, job: &JobState) -> Json {
             spikes,
             raster_hash,
             wall_s,
+            build_s,
             attempts,
             template_hit,
         } => fields.extend([
@@ -687,6 +688,7 @@ fn status_body(id: u64, job: &JobState) -> Json {
             ("spikes", (*spikes).into()),
             ("raster_hash", format!("{raster_hash:#018x}").into()),
             ("wall_s", Json::fixed(*wall_s, 6)),
+            ("build_s", Json::fixed(*build_s, 6)),
             ("attempts", (*attempts).into()),
             ("template_hit", (*template_hit).into()),
         ]),
@@ -758,12 +760,7 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
         n_cores: uint32("n_cores")?,
         ..Default::default()
     };
-    let shape = if quick {
-        params.merged(sc.quick)
-    } else {
-        params
-    };
-    sc.validate(&shape)
+    sc.validate(&sc.shape(params, quick))
         .map_err(|e| format!("{scenario}: invalid parameters: {e}"))?;
     let fault = match string("fault")? {
         None => {

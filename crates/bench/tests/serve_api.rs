@@ -75,6 +75,11 @@ fn health_and_submit_and_result_round_trip() {
     assert_eq!(text(&body, "status").as_deref(), Some("done"), "{body}");
     assert!(field(&body, "spikes").as_u64().unwrap_or(0) > 0, "{body}");
     assert!(text(&body, "raster_hash").is_some(), "{body}");
+    // The build before the run is reported beside the run's own time.
+    for key in ["wall_s", "build_s"] {
+        let secs = field(&body, key).as_f64().unwrap_or(f64::NAN);
+        assert!(secs.is_finite() && secs >= 0.0, "{key}: {body}");
+    }
 
     handle.shutdown_and_join();
 }

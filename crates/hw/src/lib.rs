@@ -4,7 +4,7 @@
 //! Agilex-7, Tables III/IV) and maps it to two standard-cell libraries
 //! (FreePDK45 and ASAP7 through OpenROAD, Table VII and Fig. 5). Neither
 //! Quartus nor OpenROAD exists in this environment, so this crate provides
-//! **calibrated analytical models** (see DESIGN.md): each pipeline block is
+//! **calibrated analytical models**: each pipeline block is
 //! described by a technology-independent complexity descriptor (gate count,
 //! flip-flop count, memory bits, multiplier count), and per-target cost
 //! models translate those descriptors into LE/ALM/FF/BRAM/DSP or µm²/mW/MHz

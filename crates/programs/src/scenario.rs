@@ -24,7 +24,7 @@
 use std::any::Any;
 
 use izhi_sim::SimError;
-use izhi_snn::sudoku::{hard_corpus, SudokuGrid};
+use izhi_snn::sudoku::{hard_puzzle, SudokuGrid};
 
 use crate::engine::{run_workload, EngineConfig, GuestImage, Variant, WorkloadResult};
 use crate::net8020::Net8020Workload;
@@ -212,6 +212,17 @@ impl Scenario {
     /// (any `Some` field in `over` wins).
     pub fn build_quick(&self, over: &ScenarioParams) -> Box<dyn Workload> {
         (self.build_fn)(&over.merged(self.quick))
+    }
+
+    /// The parameters a run builds at: `over`, with the quick defaults
+    /// layered under it when `quick`. The CLI and the job service
+    /// validate and build exactly this shape.
+    pub fn shape(&self, over: ScenarioParams, quick: bool) -> ScenarioParams {
+        if quick {
+            over.merged(self.quick)
+        } else {
+            over
+        }
     }
 
     /// The raw builder, for the template module (same crate).
@@ -910,7 +921,7 @@ fn sudoku_instance(
     n_cores: u32,
     seed: u32,
 ) -> SudokuWorkload {
-    let mut puzzle = hard_corpus(5)[puzzle_idx % 5];
+    let mut puzzle = hard_puzzle(puzzle_idx % 5);
     if ease {
         puzzle = eased(puzzle);
     }

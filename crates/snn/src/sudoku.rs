@@ -99,76 +99,69 @@ impl SudokuGrid {
     /// Backtracking solver. Returns the first solution found.
     pub fn solve(&self) -> Option<SudokuGrid> {
         let mut g = *self;
-        if !g.is_consistent() {
-            return None;
-        }
-        g.solve_inner().then_some(g)
-    }
-
-    fn solve_inner(&mut self) -> bool {
-        // Most-constrained-cell heuristic keeps hard puzzles tractable.
-        let mut best: Option<(usize, Vec<u8>)> = None;
-        for i in 0..81 {
-            if self.0[i] != 0 {
-                continue;
-            }
-            let (r, c) = (i / 9, i % 9);
-            let cands: Vec<u8> = (1..=9).filter(|&d| self.placement_ok(r, c, d)).collect();
-            if cands.is_empty() {
-                return false;
-            }
-            let replace = best.as_ref().is_none_or(|(_, b)| cands.len() < b.len());
-            if replace {
-                let single = cands.len() == 1;
-                best = Some((i, cands));
-                if single {
-                    break;
-                }
-            }
-        }
-        let Some((i, cands)) = best else {
-            return true; // no empty cells left
-        };
-        for d in cands {
-            self.0[i] = d;
-            if self.solve_inner() {
-                return true;
-            }
-        }
-        self.0[i] = 0;
-        false
+        (g.search(1) == 1).then_some(g)
     }
 
     /// Count solutions up to `limit` (for uniqueness checks).
     pub fn count_solutions(&self, limit: usize) -> usize {
         let mut g = *self;
-        if !g.is_consistent() {
-            return 0;
-        }
-        let mut count = 0;
-        g.count_inner(limit, &mut count);
-        count
+        g.search(limit)
     }
 
-    fn count_inner(&mut self, limit: usize, count: &mut usize) {
-        if *count >= limit {
-            return;
+    /// The constraint search behind [`SudokuGrid::solve`] and
+    /// [`SudokuGrid::count_solutions`]: counts solutions up to `limit`,
+    /// leaving the grid filled with the last one counted if it reaches
+    /// `limit` and unchanged otherwise. An inconsistent grid has none.
+    fn search(&mut self, limit: usize) -> usize {
+        if limit == 0 {
+            return 0;
         }
-        let Some(i) = (0..81).find(|&i| self.0[i] == 0) else {
-            *count += 1;
-            return;
-        };
-        let (r, c) = (i / 9, i % 9);
-        for d in 1..=9 {
-            if self.placement_ok(r, c, d) {
-                self.0[i] = d;
-                self.count_inner(limit, count);
-                self.0[i] = 0;
-                if *count >= limit {
-                    return;
+        // Used-digit masks (bit `d - 1`): rows, then columns, then boxes.
+        let mut used = [0u16; 27];
+        for (i, &d) in self.0.iter().enumerate().filter(|(_, &d)| d != 0) {
+            let bit = 1 << (d - 1);
+            if units(i).iter().any(|&u| used[u] & bit != 0) {
+                return 0;
+            }
+            units(i).iter().for_each(|&u| used[u] |= bit);
+        }
+        self.descend(&mut used, limit)
+    }
+
+    fn descend(&mut self, used: &mut [u16; 27], limit: usize) -> usize {
+        // Most-constrained cell: fewest candidates, lowest index on ties,
+        // taking the first forced cell outright.
+        let mut best: Option<(usize, u16)> = None;
+        for i in (0..81).filter(|&i| self.0[i] == 0) {
+            let [r, c, b] = units(i);
+            let cands = !(used[r] | used[c] | used[b]) & 0x1FF;
+            if cands == 0 {
+                return 0;
+            }
+            if best.is_none_or(|(_, m)| cands.count_ones() < m.count_ones()) {
+                best = Some((i, cands));
+                if cands.count_ones() == 1 {
+                    break;
                 }
             }
         }
+        let Some((i, mut cands)) = best else {
+            return 1; // no empty cells left
+        };
+        // Digits in ascending order until `limit` solutions are found.
+        let mut found = 0;
+        while cands != 0 && found < limit {
+            let bit = cands & cands.wrapping_neg();
+            cands ^= bit;
+            self.0[i] = bit.trailing_zeros() as u8 + 1;
+            units(i).iter().for_each(|&u| used[u] |= bit);
+            found += self.descend(used, limit - found);
+            units(i).iter().for_each(|&u| used[u] &= !bit);
+        }
+        if found < limit {
+            self.0[i] = 0;
+        }
+        found
     }
 
     /// A canonical valid complete grid (the shift pattern).
@@ -239,6 +232,12 @@ impl SudokuGrid {
     }
 }
 
+/// Cell `i`'s row, column and box as indices into the search's masks.
+fn units(i: usize) -> [usize; 3] {
+    let (r, c) = (i / 9, i % 9);
+    [r, 9 + c, 18 + r / 3 * 3 + c / 3]
+}
+
 impl core::fmt::Display for SudokuGrid {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         for r in 0..9 {
@@ -258,13 +257,17 @@ impl core::fmt::Display for SudokuGrid {
     }
 }
 
+/// Puzzle `k` of the hard corpus: a 24-given generated puzzle with a
+/// unique solution.
+pub fn hard_puzzle(k: usize) -> SudokuGrid {
+    SudokuGrid::generate(1000 + k as u32, 24)
+}
+
 /// A deterministic corpus of `n` hard generated puzzles (the reproduction's
 /// stand-in for the magictour Top-100 list, which is not redistributable
-/// here; see DESIGN.md).
+/// with this code).
 pub fn hard_corpus(n: usize) -> Vec<SudokuGrid> {
-    (0..n)
-        .map(|i| SudokuGrid::generate(1000 + i as u32, 24))
-        .collect()
+    (0..n).map(hard_puzzle).collect()
 }
 
 /// The 729-neuron Winner-Takes-All Sudoku network.
@@ -531,6 +534,97 @@ pub fn solve_wta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference counter: first empty cell, ascending digits, each
+    /// placement re-checked against the grid. Slow but obviously right.
+    fn naive_count(g: &mut SudokuGrid, limit: usize, count: &mut usize) {
+        if *count >= limit {
+            return;
+        }
+        let Some(i) = (0..81).find(|&i| g.0[i] == 0) else {
+            *count += 1;
+            return;
+        };
+        for d in 1..=9 {
+            if g.placement_ok(i / 9, i % 9, d) {
+                g.0[i] = d;
+                naive_count(g, limit, count);
+                g.0[i] = 0;
+                if *count >= limit {
+                    return;
+                }
+            }
+        }
+    }
+
+    fn grid(s: &str) -> SudokuGrid {
+        SudokuGrid::parse(s).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// `count_solutions` agrees with the reference counter on partial
+        /// grids cut from a solution, where about one copied cell in 48
+        /// gets an arbitrary digit instead (often inconsistent or
+        /// unsolvable).
+        #[test]
+        fn count_solutions_matches_the_reference(
+            seed in 1u32..100_000,
+            cells in proptest::collection::vec((0usize..81, 0u8..10, 0u32..48), 20..100),
+        ) {
+            let sol = SudokuGrid::random_solution(seed);
+            let mut g = SudokuGrid([0; 81]);
+            for &(i, d, roll) in &cells {
+                g.0[i] = if roll == 0 { d } else { sol.0[i] };
+            }
+            for limit in 1..=3 {
+                let mut want = 0;
+                if g.is_consistent() {
+                    naive_count(&mut { g }, limit, &mut want);
+                }
+                prop_assert_eq!(g.count_solutions(limit), want, "limit {limit}: {g:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hard_corpus_is_pinned() {
+        // Captured from the first-empty-cell counter the generator used
+        // before the mask search: the search must not change a puzzle.
+        let want = [
+            "000580710600017000000003060400000800203000507050000000000100000004002070308070240",
+            "050078900000000010600000300000400000070810000906003400100780000200000035040020600",
+            "600050000000008410083001900090700000030800200005300007009046800000000106004000300",
+            "002104003000090000004008060000400620000062015100800040030600800200000000090070000",
+            "070901003000005002000003618000100000600008009005000706100004000460080000008000020",
+        ];
+        let got = hard_corpus(5);
+        assert_eq!(got, want.map(grid));
+        assert_eq!(hard_puzzle(3), got[3]);
+    }
+
+    #[test]
+    fn solve_keeps_its_choice_on_multi_solution_grids() {
+        // Most-constrained cell, lowest index on ties, ascending digits:
+        // the grids the solver returned before the mask search.
+        for (puzzle, want) in [
+            (
+                ".".repeat(81),
+                "123456789456789123789123456231674895875912364694538217317265948542897631968341572",
+            ),
+            (
+                "000020400000000000604800000000000000000060000000000000000000040001006000040000000"
+                    .to_string(),
+                "573621489892345167614879235435718926127963854968254371786192543351486792249537618",
+            ),
+        ] {
+            let p = grid(&puzzle);
+            assert_eq!(p.count_solutions(2), 2, "{puzzle} is not multi-solution");
+            assert_eq!(p.solve(), Some(grid(want)), "{puzzle}");
+        }
+    }
 
     #[test]
     fn parse_and_display_roundtrip() {

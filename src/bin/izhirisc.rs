@@ -498,8 +498,10 @@ fn cmd_scenario_run(args: &[String]) {
     }
     // Reject inconsistent parameter combinations up front (shards beyond
     // cores, standard-map scenarios past their memory bounds, …) with a
-    // one-line error instead of a guest trap deep inside the engine.
-    if let Err(e) = sc.validate(&params) {
+    // one-line error instead of a guest trap deep inside the engine. A
+    // --quick run is checked at the shape it builds, as the service does.
+    let shape = sc.shape(params, quick);
+    if let Err(e) = sc.validate(&shape) {
         eprintln!("{name}: invalid parameters: {e}");
         exit(2);
     }
@@ -539,19 +541,13 @@ fn cmd_scenario_run(args: &[String]) {
     // `scenario run` of the same shape reuses the assembled snapshot, and
     // `IZHI_TEMPLATE_CACHE=0` restores the cold build for A/B checks.
     let mut wl: Box<dyn Workload> = if template::cache_enabled() {
-        let tpl = if quick {
-            sc.template_quick(&params)
-        } else {
-            sc.template(&params)
-        };
+        let tpl = sc.template(&shape);
         match params.seed {
             Some(seed) => Box::new(tpl.instantiate(seed, sched)),
             None => Box::new(tpl.instantiate_as_built(sched)),
         }
-    } else if quick {
-        sc.build_quick(&params)
     } else {
-        sc.build(&params)
+        sc.build(&shape)
     };
     wl.cfg_mut().system.sched = sched;
     let start = std::time::Instant::now();

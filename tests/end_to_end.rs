@@ -1,6 +1,7 @@
 //! End-to-end flows through the public façade: assemble → load → run →
 //! read back, across every layer of the stack.
 
+use izhirisc::bench::serve::parse_job;
 use izhirisc::core::{HStep, IzhParams, NmRegs, NpUnit};
 use izhirisc::fixed::{pack_vu, unpack_vu, Q15_16, Q7_8};
 use izhirisc::isa::{Assembler, Reg};
@@ -152,4 +153,37 @@ fn facade_quickstart() {
         spikes += out.spike as u32;
     }
     assert!(spikes > 0);
+}
+
+/// Every shape the job service rejects as invalid parameters makes
+/// `izhirisc scenario run` exit 2 with the same one-line message, instead
+/// of running it (or panicking inside the engine). `--quick` runs are
+/// checked at the shape they build.
+#[test]
+fn cli_rejects_the_shapes_the_service_rejects() {
+    for (body, args) in [
+        (
+            r#"{"scenario":"net8020","n_cores":40,"quick":false}"#,
+            &["--cores", "40"][..],
+        ),
+        (
+            r#"{"scenario":"net8020","ticks":70000}"#,
+            &["--quick", "--ticks", "70000"],
+        ),
+        (
+            r#"{"scenario":"net8020","n":3000}"#,
+            &["--quick", "--n", "3000"],
+        ),
+    ] {
+        let want = parse_job(body).expect_err(body);
+        assert!(want.contains("invalid parameters:"), "{body}: {want}");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_izhirisc"))
+            .args(["scenario", "run", "net8020"])
+            .args(args)
+            .output()
+            .expect("izhirisc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), want, "{args:?}");
+    }
 }
